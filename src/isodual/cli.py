@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import jsonio
-from .curve import (Curve, Point, embed_curve, mul_by_m_map,
+from .curve import (MUL_MAP_CAP, Curve, Point, embed_curve, mul_by_m_map,
                     subgroup_from_generator, subgroup_from_points)
 from .dualctor import dual_isogeny, separable_decompose, verify_dual
 from .errors import (CharTooSmall, IsodualError, KernelNotRational, NotPrime,
@@ -210,7 +210,12 @@ def _cmd_velu(args):
 
 def _cmd_dual(args):
     E = _build_curve(args)
-    phi = velu_isogeny(E, _resolve_kernel(E, args))
+    G = _resolve_kernel(E, args)
+    if G.order > MUL_MAP_CAP:
+        raise ParseError(
+            f"dual: kernel order {G.order} exceeds {MUL_MAP_CAP}, the cap "
+            f"on [m] (MUL_MAP_CAP) that the dual pipeline builds")
+    phi = velu_isogeny(E, G)
     cert = dual_isogeny(phi)
     return jsonio.certificate_to_obj(cert), _pretty_certificate(cert)
 

@@ -173,36 +173,109 @@ def point_order(P: Point) -> int:
     return n
 
 
-def enumerate_points(E: Curve) -> list[Point]:
-    """All points of E over its context, O first then sorted by (x, y) code."""
+class PointBatch:
+    """n points of one curve as arrays: x and y are digit planes (k, n)
+    (see accel) and inf masks the identity O, whose coordinates are zero."""
+
+    __slots__ = ("x", "y", "inf")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, inf: np.ndarray):
+        self.x = x
+        self.y = y
+        self.inf = inf
+
+    def __eq__(self, other):
+        return (isinstance(other, PointBatch)
+                and np.array_equal(self.inf, other.inf)
+                and np.array_equal(self.x, other.x)
+                and np.array_equal(self.y, other.y))
+
+
+def point_batch(E: Curve, points) -> PointBatch:
+    """The batch of a list of points of E, in list order."""
+    ctx = E.ctx
+    zero = ctx.zero_raw
+    xs = ctx.raws_to_array([zero if P.is_infinity else P.x.raw for P in points])
+    ys = ctx.raws_to_array([zero if P.is_infinity else P.y.raw for P in points])
+    inf = np.array([P.is_infinity for P in points], dtype=bool)
+    return PointBatch(xs.T.copy(), ys.T.copy(), inf)
+
+
+def batch_points(E: Curve, B: PointBatch) -> list[Point]:
+    """The points of a batch on E, in batch order."""
+    ctx = E.ctx
+    xs = ctx.array_to_raws(B.x.T)
+    ys = ctx.array_to_raws(B.y.T)
+    O = E.infinity()
+    return [O if o else Point(E, ctx.wrap(x), ctx.wrap(y), _checked=True)
+            for x, y, o in zip(xs, ys, B.inf.tolist())]
+
+
+def affine_points(E: Curve) -> PointBatch:
+    """Every affine point of E over its context, sorted by (x, y) code."""
     ctx = E.ctx
     q = ctx.order
     if q > ff.SCAN_GUARD:
         raise FieldTooLarge(f"|K| = {q} exceeds the enumeration guard")
-    xs = accel.all_element_digits(ctx.p, ctx.k)
-    red = ctx.red_array()
-    f_vals = accel.poly_eval_batch(E.f_poly().digit_matrix(), xs, ctx.p, red)
-    sq_matrix = np.zeros((3, ctx.k), dtype=np.int64)
-    sq_matrix[2, 0] = 1
-    sq_vals = accel.poly_eval_batch(sq_matrix, xs, ctx.p, red)
-    f_codes = accel.pack_codes(f_vals, ctx.p)
-    sq_codes = accel.pack_codes(sq_vals, ctx.p)
+    F = ctx.batch
+    xs = accel.all_element_planes(ctx.p, ctx.k)
+    f_codes = F.to_codes(F.horner(E.f_poly().digit_matrix(), xs))
+    sq_codes = F.to_codes(F.mul(xs, xs))
+    # stable: the y with one square stay in ascending code order
     order = np.argsort(sq_codes, kind="stable")
     sorted_sq = sq_codes[order]
     lo = np.searchsorted(sorted_sq, f_codes, side="left")
-    hi = np.searchsorted(sorted_sq, f_codes, side="right")
-    coords = []
-    for x_code in range(q):
-        for idx in range(lo[x_code], hi[x_code]):
-            coords.append((x_code, int(order[idx])))
-    coords.sort()
-    points = [E.infinity()]
-    for x_code, y_code in coords:
-        points.append(Point(E,
-                            ctx.wrap(ctx.raw_from_code(x_code)),
-                            ctx.wrap(ctx.raw_from_code(y_code)),
-                            _checked=True))
-    return points
+    counts = np.searchsorted(sorted_sq, f_codes, side="right") - lo
+    n = int(counts.sum())
+    x_codes = np.repeat(np.arange(q), counts)
+    first = np.cumsum(counts) - counts  # batch index of each x's first point
+    y_codes = order[np.repeat(lo - first, counts) + np.arange(n)]
+    return PointBatch(xs[:, x_codes], xs[:, y_codes], np.zeros(n, dtype=bool))
+
+
+def enumerate_points(E: Curve) -> list[Point]:
+    """All points of E over its context, O first then sorted by (x, y) code."""
+    return [E.infinity()] + batch_points(E, affine_points(E))
+
+
+def batch_point_add(E: Curve, P: PointBatch, Q: PointBatch) -> PointBatch:
+    """P + Q row by row: the affine chord-tangent law of point_add, with
+    masks for O, for P + (-P) and for doubling a point with y = 0."""
+    F = E.ctx.batch
+    p = F.p
+    a = np.array(E.ctx.raw_digits(E.a.raw), dtype=np.int64)[:, None]
+    same_x = (P.x == Q.x).all(axis=0)
+    opposite = same_x & ~((P.y + Q.y) % p).any(axis=0)
+    tangent = same_x & ~opposite
+    num = np.where(tangent, (3 * F.mul(P.x, P.x) + a) % p, (Q.y - P.y) % p)
+    den = np.where(tangent, 2 * P.y % p, (Q.x - P.x) % p)
+    lam = F.mul(num, F.inv(den))  # rows with den = 0 are masked below
+    x = (F.mul(lam, lam) - P.x - Q.x) % p
+    y = (F.mul(lam, P.x - x) - P.y) % p
+    x = np.where(P.inf, Q.x, np.where(Q.inf, P.x, x))
+    y = np.where(P.inf, Q.y, np.where(Q.inf, P.y, y))
+    inf = np.where(P.inf, Q.inf, ~Q.inf & opposite)
+    x[:, inf] = 0
+    y[:, inf] = 0
+    return PointBatch(x, y, inf)
+
+
+def batch_scalar_mul(E: Curve, n: int, P: PointBatch) -> PointBatch:
+    """[n]P row by row, by the double-and-add of scalar_mul."""
+    if n < 0:
+        P = PointBatch(P.x, -P.y % E.ctx.p, P.inf)
+        n = -n
+    k, size = P.x.shape
+    zeros = np.zeros((k, size), dtype=np.int64)
+    result = PointBatch(zeros, zeros, np.ones(size, dtype=bool))
+    addend = P
+    while n:
+        if n & 1:
+            result = batch_point_add(E, result, addend)
+        n >>= 1
+        if n:
+            addend = batch_point_add(E, addend, addend)
+    return result
 
 
 def embed_curve(E: Curve, ctx: ff.FieldContext) -> Curve:

@@ -20,10 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import accel
+from .accel import SCAN_GUARD
 from .errors import (CharTooSmall, ContextMismatch, DivisionByZero,
                      FieldTooLarge, NotPrime)
-
-SCAN_GUARD = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
@@ -143,7 +142,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldContext:
     """The field F_{p^k}; immutable, deterministic, safe to share."""
 
-    __slots__ = ("p", "k", "modulus", "_red", "_hash")
+    __slots__ = ("p", "k", "modulus", "_red", "_hash", "_batch")
 
     def __init__(self, p: int, k: int = 1):
         if p in (2, 3):
@@ -171,6 +170,7 @@ class FieldContext:
                 red.append(tuple(cur))
             self._red = tuple(red)
         self._hash = hash((self.p, self.k, self.modulus))
+        self._batch = None
 
     # value identity: two contexts for the same (p, k) are the same field
     def __eq__(self, other):
@@ -361,6 +361,13 @@ class FieldContext:
         return [self.wrap(self.raw_from_code(c)) for c in range(self.order)]
 
     # numpy interop for the batch kernels
+    @property
+    def batch(self) -> accel.BatchField:
+        """Batch arithmetic on digit planes of this field, built once."""
+        if self._batch is None:
+            self._batch = accel.BatchField(self.p, self.red_array())
+        return self._batch
+
     def red_array(self) -> np.ndarray:
         if self.k == 1:
             return np.zeros((0, 1), dtype=np.int64)
@@ -373,8 +380,8 @@ class FieldContext:
 
     def array_to_raws(self, arr: np.ndarray) -> list:
         if self.k == 1:
-            return [int(v) for v in arr[:, 0]]
-        return [tuple(int(x) for x in row) for row in arr]
+            return arr[:, 0].tolist()
+        return list(map(tuple, arr.tolist()))
 
 
 @lru_cache(maxsize=None)

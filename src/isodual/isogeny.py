@@ -18,11 +18,13 @@ construction bugs on the spot.
 from __future__ import annotations
 
 from . import ff
-from .curve import (Curve, Point, Subgroup, embed_curve, embed_point,
-                    point_add, subgroup_from_points)
+from .curve import (Curve, Point, PointBatch, Subgroup, batch_points,
+                    embed_curve, embed_point, point_add, point_batch,
+                    subgroup_from_points)
 from .errors import (CurveChainMismatch, CurveMismatch, DegreeTooLarge,
                      IsodualError, KernelNotRational, UnsupportedBaseField)
-from .polyrat import Poly, RatFunc, roots_bruteforce, squarefree_part
+from .polyrat import (Poly, RatFunc, embed_ratfunc, roots_bruteforce,
+                      squarefree_part)
 
 FROBENIUS_CAP = 10 ** 6  # p^n beyond this is not a desk-scale map
 
@@ -288,81 +290,57 @@ def velu_isogeny(E: Curve, G: Subgroup) -> IsogenyMap:
 # evaluation / composition / kernel recovery
 
 
-def iso_eval(phi: IsogenyMap, P: Point) -> Point:
-    """Evaluate phi at P, which may live over an extension of phi's field."""
-    dom = phi.domain
-    if P.curve == dom:
-        r, s = phi.r, phi.s
-        codomain = phi.codomain
-    else:
-        if P.curve.ctx.k % dom.ctx.k or embed_curve(dom, P.curve.ctx) != P.curve:
-            raise CurveMismatch("point does not lie on an embedding of the domain")
-        emb = ff.embed(dom.ctx, P.curve.ctx)
-        from .polyrat import embed_ratfunc
-        r = embed_ratfunc(phi.r, emb)
-        s = embed_ratfunc(phi.s, emb)
-        codomain = embed_curve(phi.codomain, P.curve.ctx)
-    if P.is_infinity:
-        return codomain.infinity()
-    ctx = P.curve.ctx
-    x = P.x.raw
-    if ctx.raw_is_zero(r.den.eval_raw(x)):
-        return codomain.infinity()
-    rx = ctx.rmul(r.num.eval_raw(x), ctx.rinv(r.den.eval_raw(x)))
-    sden = s.den.eval_raw(x)
-    if ctx.raw_is_zero(sden):
+def _maps_over(phi: IsogenyMap, target: Curve) -> tuple[RatFunc, RatFunc, Curve]:
+    """phi's coordinate maps and codomain, viewed over target's context;
+    target must be the domain or its embedding."""
+    if target == phi.domain:
+        return phi.r, phi.s, phi.codomain
+    if target.ctx.k % phi.domain.ctx.k or \
+            embed_curve(phi.domain, target.ctx) != target:
+        raise CurveMismatch("points do not lie on an embedding of the domain")
+    emb = ff.embed(phi.domain.ctx, target.ctx)
+    return (embed_ratfunc(phi.r, emb), embed_ratfunc(phi.s, emb),
+            embed_curve(phi.codomain, target.ctx))
+
+
+def _eval_maps(r: RatFunc, s: RatFunc, F, B: PointBatch) -> PointBatch:
+    """(r(x), y*s(x)) at a batch of points; O and the poles of r map to O."""
+    rn, rd, sn, sd = (F.horner(f.digit_matrix(), B.x)
+                      for f in (r.num, r.den, s.num, s.den))
+    inf = B.inf | ~rd.any(axis=0)
+    if (~inf & ~sd.any(axis=0)).any():
         raise IsodualError("y-map pole outside the kernel (corrupt map)")
-    sx = ctx.rmul(s.num.eval_raw(x), ctx.rinv(sden))
-    return Point(codomain, ctx.wrap(rx), ctx.wrap(ctx.rmul(P.y.raw, sx)))
+    x = F.mul(rn, F.inv(rd))  # rows with rd = 0 are masked below
+    y = F.mul(B.y, F.mul(sn, F.inv(sd)))
+    x[:, inf] = 0
+    y[:, inf] = 0
+    return PointBatch(x, y, inf)
+
+
+def iso_eval_point_batch(phi: IsogenyMap, target: Curve,
+                         B: PointBatch) -> PointBatch:
+    """phi at a batch of points of target, the domain or its embedding;
+    the kernel maps to O."""
+    r, s, _ = _maps_over(phi, target)
+    return _eval_maps(r, s, target.ctx.batch, B)
 
 
 def iso_eval_batch(phi: IsogenyMap, points: list[Point]) -> list[Point]:
     """Evaluate phi at many points of one curve (embeds the map once)."""
-    from . import accel
-    from .polyrat import embed_ratfunc
-
     if not points:
         return []
     target = points[0].curve
     for P in points:
         if P.curve != target:
             raise CurveMismatch("batch points on different curves")
-    if target == phi.domain:
-        r, s = phi.r, phi.s
-        codomain = phi.codomain
-    else:
-        if target.ctx.k % phi.domain.ctx.k or \
-                embed_curve(phi.domain, target.ctx) != target:
-            raise CurveMismatch("points do not lie on an embedding of the domain")
-        emb = ff.embed(phi.domain.ctx, target.ctx)
-        r = embed_ratfunc(phi.r, emb)
-        s = embed_ratfunc(phi.s, emb)
-        codomain = embed_curve(phi.codomain, target.ctx)
-    ctx = target.ctx
-    affine = [P for P in points if not P.is_infinity]
-    values = {}
-    if affine:
-        xs = ctx.raws_to_array([P.x.raw for P in affine])
-        red = ctx.red_array()
-        evaluated = [
-            ctx.array_to_raws(accel.poly_eval_batch(poly.digit_matrix(), xs,
-                                                    ctx.p, red))
-            for poly in (r.num, r.den, s.num, s.den)]
-        for i, P in enumerate(affine):
-            rn, rd, sn, sd = (col[i] for col in evaluated)
-            if ctx.raw_is_zero(rd):
-                values[P] = codomain.infinity()
-                continue
-            if ctx.raw_is_zero(sd):
-                raise IsodualError("y-map pole outside the kernel (corrupt map)")
-            rx = ctx.rmul(rn, ctx.rinv(rd))
-            sx = ctx.rmul(sn, ctx.rinv(sd))
-            values[P] = Point(codomain, ctx.wrap(rx),
-                              ctx.wrap(ctx.rmul(P.y.raw, sx)))
-    out = []
-    for P in points:
-        out.append(codomain.infinity() if P.is_infinity else values[P])
-    return out
+    r, s, codomain = _maps_over(phi, target)
+    images = _eval_maps(r, s, target.ctx.batch, point_batch(target, points))
+    return batch_points(codomain, images)
+
+
+def iso_eval(phi: IsogenyMap, P: Point) -> Point:
+    """Evaluate phi at P, which may live over an extension of phi's field."""
+    return iso_eval_batch(phi, [P])[0]
 
 
 def iso_compose(outer: IsogenyMap, inner: IsogenyMap) -> IsogenyMap:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isodual import accel, make_field
+from isodual.errors import FieldTooLarge
 from isodual.polyrat import Poly
 
 
@@ -70,3 +71,30 @@ def test_env_flag_selects_backend_end_to_end(backend):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2 True"
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (5, 2), (7, 3), (11, 2)])
+def test_batch_field_mul_and_table_inverse_match_scalar(p, k):
+    ctx = make_field(p, k)
+    F = ctx.batch
+    assert F is ctx.batch  # built once per context
+    codes = np.arange(ctx.order, dtype=np.int64)
+    xs = accel.all_element_planes(p, k)
+    assert np.array_equal(F.to_codes(xs), codes)
+    raws = [ctx.raw_from_code(int(c)) for c in codes]
+    inv = F.inv(xs)
+    assert not inv[:, 0].any()  # zero maps to zero
+    for c in range(1, ctx.order):
+        assert ctx.raw_code(ctx.rinv(raws[c])) == F.to_codes(inv[:, c:c + 1])[0]
+    rng = np.random.default_rng(p * k)
+    other = rng.permutation(codes)
+    prod = F.to_codes(F.mul(xs, xs[:, other]))
+    for c in range(0, ctx.order, max(1, ctx.order // 97)):
+        expected = ctx.rmul(raws[c], raws[int(other[c])])
+        assert ctx.raw_code(expected) == prod[c]
+
+
+def test_inverse_table_guard():
+    F = make_field(1009, 2).batch  # 1009^2 > 10^6 elements
+    with pytest.raises(FieldTooLarge):
+        F.inv(np.ones((2, 1), dtype=np.int64))

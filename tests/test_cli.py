@@ -198,3 +198,36 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degree"] == 9
+
+
+def test_dual_refuses_kernel_order_above_mul_map_cap(capsys):
+    # a rational point of order 13..50 over F_13 or F_17
+    for p in (13, 17):
+        E = P = None
+        F = make_field(p)
+        for a in range(p):
+            for b in range(1, p):
+                try:
+                    cand = iso.Curve(F, a, b)
+                except iso.errors.SingularCurve:
+                    continue
+                P = next((Q for Q in iso.enumerate_points(cand)
+                          if 12 < iso.point_order(Q) <= 50), None)
+                if P is not None:
+                    E = cand
+                    break
+            if E is not None:
+                break
+        if E is not None:
+            break
+    assert E is not None
+    args = ("--p", str(p), "--a", str(E.a.digits[0]), "--b",
+            str(E.b.digits[0]), "--kernel-gen",
+            f"{P.x.digits[0]},{P.y.digits[0]}")
+    code, out, err = run_cli(capsys, "dual", *args)
+    assert code == 2 and not out
+    obj = json.loads(err)
+    assert obj["error"] == "ParseError"
+    assert "12" in obj["message"] and "MUL_MAP_CAP" in obj["message"]
+    code, out, _ = run_cli(capsys, "velu", *args)  # velu allows order <= 50
+    assert code == 0 and json.loads(out)["degree"] == iso.point_order(P)

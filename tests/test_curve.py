@@ -204,3 +204,48 @@ def test_embed_point_and_mismatch(e_f5):
         P + other.point(0, 1)
     with pytest.raises(CurveMismatch):
         iso.embed_point(other.point(0, 1), E25)
+
+
+# -- batch group law (the pointwise dual check's oracle) ------------------------
+
+F49 = make_field(7, 2)
+
+
+BATCH_LAW_CURVES = {
+    "supersingular-F25": iso.embed_curve(iso.Curve(F5, 0, 1), F25),
+    "full-2-torsion-F25": iso.embed_curve(iso.Curve(F5, 1, 0), F25),
+    "ordinary-F49": iso.embed_curve(iso.Curve(F7, 1, 1), F49),
+    "a-outside-F5": iso.Curve(F25, F25.element([1, 1]), 2),
+}
+batch_law_curves = pytest.mark.parametrize(
+    "E", BATCH_LAW_CURVES.values(), ids=BATCH_LAW_CURVES.keys())
+
+
+@batch_law_curves
+def test_batch_point_add_matches_point_add_exhaustive(E):
+    pts = iso.enumerate_points(E)
+    assert pts[0].is_infinity
+    pairs = [(P, Q) for P in pts for Q in pts]  # every ordered pair, O too
+    left = iso.curve.point_batch(E, [P for P, _ in pairs])
+    right = iso.curve.point_batch(E, [Q for _, Q in pairs])
+    sums = iso.curve.batch_points(E, iso.curve.batch_point_add(E, left, right))
+    assert sums == [iso.point_add(P, Q) for P, Q in pairs]
+
+
+@batch_law_curves
+def test_batch_scalar_mul_matches_scalar_mul(E):
+    pts = iso.enumerate_points(E)
+    B = iso.curve.point_batch(E, pts)
+    for m in list(range(1, 13)) + list(range(-12, 0)):
+        images = iso.curve.batch_points(E, iso.curve.batch_scalar_mul(E, m, B))
+        assert images == [iso.scalar_mul(m, P) for P in pts], m
+
+
+@batch_law_curves
+def test_affine_points_match_brute_force(E):
+    elements = E.ctx.elements()
+    expected = [E.point(x, y) for x in elements for y in elements
+                if E.contains(x, y)]
+    B = iso.curve.affine_points(E)
+    assert not B.inf.any()
+    assert iso.curve.batch_points(E, B) == expected

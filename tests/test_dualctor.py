@@ -3,7 +3,9 @@ import random
 import pytest
 
 import isodual as iso
-from isodual.errors import (InseparableMap, KernelNotNested, NotNormalized,
+from isodual.dualctor import _pointwise_dual_check
+from isodual.errors import (FieldTooLarge, InseparableMap, IsodualError,
+                            KernelNotNested, NotNormalized,
                             UnsupportedBaseField)
 from isodual.ff import make_field
 from conftest import cyclic_subgroups, find_curves_by_trace, nonsingular_curves
@@ -396,3 +398,31 @@ def test_dual_of_klein_four_kernel(e_f5):
         assert iso.iso_eval(phi, P) == iso.velu_pointwise(e_f5, G25, P)
     cert = iso.dual_isogeny(phi)
     assert cert.verified and cert.m == 4
+
+
+# -- the pointwise check ----------------------------------------------------------
+
+
+def test_pointwise_check_rejects_the_wrong_multiplier():
+    for E in nonsingular_curves(5, 6) + nonsingular_curves(7, 3):
+        for G in cyclic_subgroups(E, (2, 3, 4, 5)):
+            phi = iso.velu_isogeny(E, G)
+            comp = iso.iso_compose(iso.dual_isogeny(phi).dual, phi)
+            m = phi.degree
+            assert _pointwise_dual_check(comp, E, m)
+            assert not _pointwise_dual_check(comp, E, m + 1)
+
+
+def test_pointwise_check_field_guard():
+    E = iso.Curve(make_field(1009), 1, 1)
+    with pytest.raises(FieldTooLarge):
+        _pointwise_dual_check(iso.identity_isogeny(E), E, 1)
+
+
+def test_pointwise_check_y_map_pole_outside_kernel(e_f5):
+    ident = iso.identity_isogeny(e_f5)
+    # s = 1/(x - 1): a pole at x = 1, where r = x has none
+    bad_s = iso.RatFunc(iso.Poly.one(F5), iso.Poly.from_ints(F5, [4, 1]))
+    corrupt = iso.IsogenyMap(e_f5, e_f5, ident.r, bad_s, 1, check=False)
+    with pytest.raises(IsodualError):
+        _pointwise_dual_check(corrupt, e_f5, 1)
