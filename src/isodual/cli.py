@@ -23,13 +23,11 @@ from . import jsonio
 from .curve import (MUL_MAP_CAP, Curve, Point, embed_curve, mul_by_m_map,
                     subgroup_from_generator, subgroup_from_points)
 from .dualctor import dual_isogeny, separable_decompose, verify_dual
-from .errors import (CharTooSmall, IsodualError, KernelNotRational, NotPrime,
-                     ParseError)
+from .errors import FieldTooLarge, IsodualError, KernelNotRational, ParseError
 from .ff import make_field
 from .isogeny import iso_eval, velu_isogeny
 from .polyrat import Poly, roots_bruteforce
 
-FIELD_GUARD = 10 ** 6  # refuse |K| beyond this: desk-scale tool
 KERNEL_GUARD = 50
 POLY_SPLIT_DEGREES = (1, 2, 3, 4)
 
@@ -39,16 +37,6 @@ def _parse_int(text: str, what: str) -> int:
         return int(text)
     except ValueError as exc:
         raise ParseError(f"{what} must be an integer, got {text!r}") from exc
-
-
-def _make_context(p: int, k: int):
-    if p ** max(k, 1) > FIELD_GUARD:
-        raise ParseError(
-            f"|K| = {p}^{k} exceeds {FIELD_GUARD}: this is a desk-scale tool")
-    try:
-        return make_field(p, k)
-    except (NotPrime, CharTooSmall) as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def _parse_element(ctx, text: str, what: str):
@@ -79,14 +67,14 @@ def _parse_point(E: Curve, text: str, what: str) -> Point:
 def _build_curve(args) -> Curve:
     if args.p is None or args.a is None or args.b is None:
         raise ParseError("--p, --a and --b are required to define a curve")
-    ctx = _make_context(args.p, args.k)
+    ctx = jsonio.field_from_params(args.p, args.k)
     return Curve(ctx, _parse_element(ctx, args.a, "--a"),
                  _parse_element(ctx, args.b, "--b"))
 
 
 def _subgroup_from_kernel_poly(E: Curve, kp: Poly):
     """Recover the subgroup from a kernel polynomial by root-scanning over
-    F_{p^(k*j)} for j <= 4."""
+    F_{p^(k*j)} for j <= 4, up to the first field beyond the scan guard."""
     if kp.degree < 0:
         raise ParseError("--kernel-poly: zero polynomial")
     if kp.degree == 0:
@@ -94,9 +82,10 @@ def _subgroup_from_kernel_poly(E: Curve, kp: Poly):
     kp = kp.monic()
     for j in POLY_SPLIT_DEGREES:
         ctx_j = make_field(E.ctx.p, E.ctx.k * j)
-        if ctx_j.order > FIELD_GUARD:
+        try:
+            roots = roots_bruteforce(kp, ctx_j)
+        except FieldTooLarge:  # larger j only grow the field
             break
-        roots = roots_bruteforce(kp, ctx_j)
         if len(roots) < kp.degree:
             continue
         big = embed_curve(E, ctx_j)

@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import accel, ff
-from .errors import (CurveMismatch, DegreeTooLarge, FieldTooLarge, NotClosed,
-                     NotGaloisStable, NotOnCurve, SingularCurve,
-                     ZeroMultiplier)
+from .errors import (CurveMismatch, DegreeTooLarge, NotClosed, NotGaloisStable,
+                     NotOnCurve, SingularCurve, ZeroMultiplier)
 from .polyrat import Poly, RatFunc
 
 MUL_MAP_CAP = 12  # [m] has degree m^2; desk-scale cap
@@ -214,11 +213,8 @@ def batch_points(E: Curve, B: PointBatch) -> list[Point]:
 def affine_points(E: Curve) -> PointBatch:
     """Every affine point of E over its context, sorted by (x, y) code."""
     ctx = E.ctx
-    q = ctx.order
-    if q > ff.SCAN_GUARD:
-        raise FieldTooLarge(f"|K| = {q} exceeds the enumeration guard")
-    F = ctx.batch
     xs = accel.all_element_planes(ctx.p, ctx.k)
+    F = ctx.batch
     f_codes = F.to_codes(F.horner(E.f_poly().digit_matrix(), xs))
     sq_codes = F.to_codes(F.mul(xs, xs))
     # stable: the y with one square stay in ascending code order
@@ -227,7 +223,7 @@ def affine_points(E: Curve) -> PointBatch:
     lo = np.searchsorted(sorted_sq, f_codes, side="left")
     counts = np.searchsorted(sorted_sq, f_codes, side="right") - lo
     n = int(counts.sum())
-    x_codes = np.repeat(np.arange(q), counts)
+    x_codes = np.repeat(np.arange(ctx.order), counts)
     first = np.cumsum(counts) - counts  # batch index of each x's first point
     y_codes = order[np.repeat(lo - first, counts) + np.arange(n)]
     return PointBatch(xs[:, x_codes], xs[:, y_codes], np.zeros(n, dtype=bool))

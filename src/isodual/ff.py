@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import accel
-from .accel import SCAN_GUARD
 from .errors import (CharTooSmall, ContextMismatch, DivisionByZero,
                      FieldTooLarge, NotPrime)
 
@@ -356,7 +355,7 @@ class FieldContext:
 
     def elements(self):
         """All field elements in code order (guarded exhaustive scan)."""
-        if self.order > SCAN_GUARD:
+        if self.order > accel.SCAN_GUARD:
             raise FieldTooLarge(f"|K| = {self.order} exceeds the scan guard")
         return [self.wrap(self.raw_from_code(c)) for c in range(self.order)]
 
@@ -372,6 +371,14 @@ class FieldContext:
         if self.k == 1:
             return np.zeros((0, 1), dtype=np.int64)
         return np.array(self._red, dtype=np.int64)
+
+    def root_codes(self, coeffs: np.ndarray) -> np.ndarray:
+        """Codes, ascending, of the elements where the polynomial with digit
+        rows coeffs ((d+1, k), by degree) vanishes (exhaustive guarded
+        scan)."""
+        xs = accel.all_element_digits(self.p, self.k)
+        values = accel.poly_eval_batch(coeffs, xs, self.p, self.red_array())
+        return np.flatnonzero(~values.any(axis=1))
 
     def raws_to_array(self, raws) -> np.ndarray:
         if self.k == 1:
@@ -469,8 +476,6 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx.rpth_root(self.raw, j))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.raw == self.ctx.raw_from_int(other)
         return (isinstance(other, FieldElement) and self.ctx == other.ctx
                 and self.raw == other.raw)
 
@@ -587,14 +592,10 @@ def embed(src: FieldContext, dst: FieldContext) -> Embedding:
         raise ContextMismatch(f"F_{src.p}^{src.k} does not embed in F_{dst.p}^{dst.k}")
     if src == dst or src.k == 1:
         return Embedding(src, dst, None)
-    if dst.order > SCAN_GUARD:
-        raise FieldTooLarge("embedding search exceeds the scan guard")
     # root-scan the source modulus over the destination field
     coeffs = np.zeros((src.k + 1, dst.k), dtype=np.int64)
-    coeffs[:, 0] = np.array(src.modulus, dtype=np.int64)
-    xs = accel.all_element_digits(dst.p, dst.k)
-    values = accel.poly_eval_batch(coeffs, xs, dst.p, dst.red_array())
-    root_codes = np.flatnonzero(~values.any(axis=1))
+    coeffs[:, 0] = src.modulus
+    root_codes = dst.root_codes(coeffs)
     if root_codes.size == 0:
         raise RuntimeError("modulus has no root in the destination field")
     gen_image = dst.raw_from_code(int(root_codes[0]))

@@ -12,7 +12,9 @@ Formats:
                  sufficient for independent re-verification
 
 Deserialization is strict: digits are range-checked, curves are rebuilt
-through the deterministic field constructor, and isogenies are re-validated
+through ``field_from_params`` (the one field constructor of the JSON and
+command-line boundaries, which refuses fields beyond the desk-scale guard
+before any primality test), and isogenies are re-validated
 against the curve-equation compatibility identity, so corrupt payloads are
 rejected at the boundary.  Serialization is canonical (sorted keys, no
 whitespace), so equal objects produce byte-identical JSON.
@@ -22,9 +24,10 @@ from __future__ import annotations
 
 import json
 
+from .accel import SCAN_GUARD
 from .curve import Curve, Point
 from .dualctor import Decomposition, DualCertificate
-from .errors import IsodualError, ParseError
+from .errors import CharTooSmall, IsodualError, NotPrime, ParseError
 from .ff import FieldContext, FieldElement, make_field
 from .isogeny import IsogenyMap
 from .polyrat import Poly, RatFunc
@@ -40,6 +43,29 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+# -- fields -----------------------------------------------------------------
+
+
+def field_from_params(p, k) -> FieldContext:
+    """F_{p^k} from untrusted parameters; every refusal is a ParseError.
+
+    The size check comes first, so a huge p never reaches the primality
+    test; p^k is only formed for k below the bit length of the guard, since
+    any larger k with p >= 2 exceeds it anyway.
+    """
+    if type(p) is not int or type(k) is not int:  # bool is an int subclass
+        raise ParseError(f"field p and k must be integers, got {p!r}, {k!r}")
+    if k < 1:
+        raise ParseError(f"extension degree k must be >= 1, got {k}")
+    if p >= 2 and p ** min(k, SCAN_GUARD.bit_length()) > SCAN_GUARD:
+        raise ParseError(
+            f"|K| = {p}^{k} exceeds {SCAN_GUARD}: this is a desk-scale tool")
+    try:
+        return make_field(p, k)
+    except (NotPrime, CharTooSmall) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # -- elements ---------------------------------------------------------------
@@ -94,9 +120,7 @@ def curve_to_obj(E: Curve) -> dict:
 def curve_from_obj(obj) -> Curve:
     if not isinstance(obj, dict) or not {"p", "k", "a", "b"} <= set(obj):
         raise ParseError(f"curve needs p/k/a/b fields, got {obj!r}")
-    if not isinstance(obj["p"], int) or not isinstance(obj["k"], int):
-        raise ParseError("curve p and k must be integers")
-    ctx = make_field(obj["p"], obj["k"])
+    ctx = field_from_params(obj["p"], obj["k"])
     return Curve(ctx, element_from_obj(ctx, obj["a"]),
                  element_from_obj(ctx, obj["b"]))
 

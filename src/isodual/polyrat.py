@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import accel, ff
-from .errors import (BothZero, ContextMismatch, DivisionByZero,
-                     FieldTooLarge)
+from . import ff
+from .errors import BothZero, ContextMismatch, DivisionByZero
 
 
 class Poly:
@@ -314,14 +313,10 @@ def roots_bruteforce(f: Poly, ctx: ff.FieldContext | None = None) -> list[ff.Fie
     if ctx is not None and ctx != f.ctx:
         f = embed_poly(f, ff.embed(f.ctx, ctx))
     ctx = f.ctx
-    if ctx.order > ff.SCAN_GUARD:
-        raise FieldTooLarge(f"|K| = {ctx.order} exceeds the scan guard")
     if f.degree < 1:
         return []
-    xs = accel.all_element_digits(ctx.p, ctx.k)
-    values = accel.poly_eval_batch(f.digit_matrix(), xs, ctx.p, ctx.red_array())
-    root_codes = np.flatnonzero(~values.any(axis=1))
-    return [ctx.wrap(ctx.raw_from_code(int(c))) for c in root_codes]
+    return [ctx.wrap(ctx.raw_from_code(int(c)))
+            for c in ctx.root_codes(f.digit_matrix())]
 
 
 def lagrange_interpolate(ctx: ff.FieldContext, xs: list, ys: list) -> Poly:

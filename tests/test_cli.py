@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -180,6 +181,32 @@ def test_desk_scale_guards(capsys):
                            "--a", a_txt, "--b", "1", "--kernel-gen", gen)
     assert code == 2
     assert "desk-scale" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("field", [
+    {"k": 0}, {"k": -1}, {"k": True}, {"p": 4}, {"p": 1000003},
+    {"p": 5, "k": 9}, {"p": 10 ** 18 + 3}, {"k": 400}],
+    ids=["k0", "k-1", "ktrue", "p4", "p1000003", "p5k9", "p1e18+3", "k400"])
+def test_certificate_field_refused_at_the_boundary(tmp_path, capsys, field):
+    code, out, _ = run_cli(capsys, "dual", "--p", "5", "--a", "1", "--b", "0",
+                           "--kernel-gen", "0,0")
+    assert code == 0
+    cert = json.loads(out)
+    cert["phi"]["domain"].update(field)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_extension_degree_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "velu", "--p", "5", "--k", "0", "--a", "1",
+                             "--b", "0", "--kernel-gen", "0,0")
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_pretty_dual_trace(capsys):

@@ -191,3 +191,14 @@ def test_embedding_requires_compatible_fields():
         embed(make_field(5), make_field(7))
     with pytest.raises(ContextMismatch):
         embed(make_field(5, 2), make_field(5, 3))
+
+
+def test_element_equality_matches_hash():
+    # elements never equal ints: 3 and 3 + p would both match, with
+    # different hashes
+    for ctx in (make_field(5), make_field(5, 2)):
+        three = ctx.element(3)
+        assert three != 3 and three != 3 + ctx.p
+        assert three == ctx.element(3 + ctx.p)
+        assert {three, ctx.element(3 + ctx.p), ctx.element([3])} == {three}
+        assert len({ctx.element(c) for c in range(3 * ctx.p)}) == ctx.p
