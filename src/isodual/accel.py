@@ -9,15 +9,20 @@ pointwise dual check:
   division by the table inverse);
 * the batch chord-tangent group law that computes [m]P for every point of
   a curve at once (``curve.batch_scalar_mul``), built on the same
-  multiplication and table inverse.
+  multiplication and table inverse;
+* linear algebra over the base field for the quotient construction: the
+  matrix of multiplication by an element of F[x]/(W) and Gauss-Jordan
+  elimination (``BatchField.mulmod_matrix``, ``BatchField.first_dependency``).
 
 ``BatchField`` holds that arithmetic.  A batch of n elements of F_{p^k} is
 held as digit planes: an int64 array of shape (k, n) whose row i holds
 base-p digit i of every element, little-endian by modulus power, so each
-digit is one contiguous row.  ``red`` holds the reductions of x^(k+j)
+digit is one contiguous row; vectors and matrices add trailing axes
+((k, w) and (k, rows, cols)).  ``red`` holds the reductions of x^(k+j)
 modulo the field modulus, one row per j in 0..k-2 (shape (k-1, k); empty
-for prime fields).  Digit values and intermediate sums stay far below
-2^63 for every field within the desk-scale guard (p^k <= 10^6).
+for prime fields).  ``BatchField`` refuses fields whose products could leave
+int64 (see ``_mul_unreduced``); every field within the desk-scale guard
+(p^k <= 10^6) stays below 2^40.
 
 ``poly_eval_batch`` takes and returns (n, k) digit rows instead and runs
 through ``BatchField.horner``.  Every whole-field scan starts from
@@ -34,6 +39,7 @@ import numpy as np
 from .errors import FieldTooLarge
 
 SCAN_GUARD = 10 ** 6  # |K| beyond this is not desk scale
+PRODUCT_GUARD = 2 ** 62  # largest unreduced product digit, with room to add
 
 
 class BatchField:
@@ -46,10 +52,15 @@ class BatchField:
     __slots__ = ("p", "k", "_red", "_powers", "_inv_table")
 
     def __init__(self, p: int, red: np.ndarray):
+        k = red.shape[1]
+        # the bound on a digit of _mul_unreduced for digits below p in size
+        if k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)) >= PRODUCT_GUARD:
+            raise FieldTooLarge(
+                f"products in F_{p}^{k} could overflow int64 digit planes")
         self.p = p
-        self.k = red.shape[1]
-        self._red = red[:, :, None]  # row j as a column, broadcast over n
-        self._powers = np.int64(p) ** np.arange(self.k, dtype=np.int64)
+        self.k = k
+        self._red = red
+        self._powers = np.int64(p) ** np.arange(k, dtype=np.int64)
         self._inv_table = None
 
     def to_codes(self, a: np.ndarray) -> np.ndarray:
@@ -58,14 +69,22 @@ class BatchField:
 
     def _mul_unreduced(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b reduced by the modulus but not yet mod p (each digit is
-        congruent to the true one)."""
+        congruent to the true one).  a and b have the same number of axes
+        and broadcast over all but the first.
+
+        Each convolution digit sums at most k products of size (p-1)^2, and
+        each of the k-1 reduction rows adds one of those times a digit below
+        p: at most k (p-1)^2 (1 + (k-1)(p-1)), which the constructor keeps
+        below PRODUCT_GUARD."""
         k = self.k
-        conv = np.zeros((2 * k - 1, a.shape[1]), dtype=np.int64)
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        conv = np.zeros((2 * k - 1,) + shape, dtype=np.int64)
         for i in range(k):
             conv[i:i + k] += a[i] * b
         low = conv[:k]
+        red = self._red.reshape(self._red.shape + (1,) * len(shape))
         for j in range(k - 1):
-            low += conv[k + j] * self._red[j]
+            low += conv[k + j] * red[j]
         return low
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,6 +115,44 @@ class BatchField:
             if e:
                 base = self.mul(base, base)
         return table
+
+    def mulmod_matrix(self, v: np.ndarray, w_low: np.ndarray) -> np.ndarray:
+        """The matrix (k, w, w) of multiplication by v on F[x]/(W), for W
+        monic of degree w with coefficients w_low (k, w) below x^w, and v
+        (k, w) reduced mod W.  Column j is x^j v mod W, from the shift
+        c_{j+1} = x c_j - lead(c_j) W."""
+        k, w = v.shape
+        out = np.empty((k, w, w), dtype=np.int64)
+        c = v
+        for j in range(w):
+            out[:, :, j] = c
+            shifted = np.zeros_like(c)
+            shifted[:, 1:] = c[:, :-1]
+            c = (shifted - self.mul(c[:, -1:], w_low)) % self.p
+        return out
+
+    def first_dependency(self, a: np.ndarray, inverse) -> tuple[int, np.ndarray]:
+        """The first column of the matrix a (k, rows, cols), cols > rows,
+        that is a combination of the columns before it: its index t and the
+        coefficients c (k, t) with column t = sum_i c_i column i.
+
+        Gauss-Jordan elimination, one vectorised step per pivot column; the
+        pivot of column i lands in row i.  inverse maps the digits (k,) of
+        one nonzero element to those of its inverse."""
+        a = a.copy()
+        for t in range(a.shape[2]):
+            candidates = np.flatnonzero(a[:, t:, t].any(axis=0))
+            if candidates.size == 0:
+                return t, a[:, :t, t]
+            pivot = t + int(candidates[0])
+            a[:, [t, pivot]] = a[:, [pivot, t]]
+            row = self.mul(inverse(a[:, t, t])[:, None], a[:, t, t:])
+            factors = a[:, :, t:t + 1].copy()
+            factors[:, t] = 0
+            a[:, :, t:] = (a[:, :, t:]
+                           - self.mul(factors, row[:, None, :])) % self.p
+            a[:, t, t:] = row
+        raise ValueError("every column is independent of the ones before it")
 
     def horner(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Values at the elements x (digit planes) of the polynomial whose

@@ -104,7 +104,7 @@ class Point:
 
     def __hash__(self):
         if self.is_infinity:
-            return hash((self.curve, None))
+            return hash((self.curve,))  # not hash(None): see FieldContext
         return hash((self.curve, self.x.raw, self.y.raw))
 
     def sort_key(self) -> tuple[int, int, int]:

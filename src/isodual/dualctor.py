@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ff
 from .curve import (Curve, affine_points, batch_scalar_mul, embed_curve,
                     mul_by_m_map)
@@ -33,8 +35,7 @@ from .errors import (CompositionMismatch, CurveChainMismatch, CurveMismatch,
 from .isogeny import (IsogenyMap, Isomorphism, frobenius_isogeny,
                       identity_isogeny, iso_compose, iso_equal,
                       iso_eval_point_batch, velu_from_kernel_polys)
-from .polyrat import (Poly, RatFunc, embed_poly, lagrange_interpolate,
-                      poly_gcd, pth_power_root, resultant, squarefree_part)
+from .polyrat import Poly, RatFunc, poly_gcd, pth_power_root
 
 
 @dataclass(frozen=True)
@@ -123,36 +124,51 @@ def normalize(phi: IsogenyMap) -> tuple[Isomorphism, IsogenyMap]:
 
 def _pushforward_kernel_poly(phin: IsogenyMap, W: Poly) -> Poly:
     """Monic squarefree polynomial whose roots are the x-coordinates of the
-    images under phin of the kernel points with x-coordinates in W.
+    images under phin of the kernel points with x-coordinates in W (monic).
 
-    Computed as the Y-radical of Res_x(W(x), num_r(x) - Y*den_r(x)) by
-    sampling the resultant over a small extension and interpolating; the
-    coefficients descend to the base field.
+    With r = n/d the x-map of phin, those images are the values of
+    rho = n * d^-1 mod W at the roots of W.  W divides a kernel polynomial,
+    so it is squarefree and F[x]/(W) is a product of fields, one per
+    irreducible factor of W.  The minimal polynomial of rho in that ring is
+    the lcm of the minimal polynomials of its components, i.e. the product
+    of the distinct irreducible polynomials vanishing at the values
+    rho(alpha), W(alpha) = 0: the monic radical of Res_x(W, n - Y d).  It is
+    found over the base field by linear algebra on digit planes: solve
+    (multiplication by d) rho = n, then row-reduce the Krylov vectors
+    1, rho, ..., rho^w (w = deg W); the first that depends on the ones
+    before it, rho^t = sum c_i rho^i, gives Y^t - sum c_i Y^i.  d is
+    invertible mod W exactly when no root of W is a pole of r; otherwise
+    CompositionMismatch is raised.
     """
     ctx = phin.domain.ctx
-    samples_needed = W.degree + 1
-    j = 2
-    while ctx.order ** j <= samples_needed:
-        j += 1
-    ext = ff.make_field(ctx.p, ctx.k * j)
-    emb = ff.embed(ctx, ext)
-    w_ext = embed_poly(W, emb)
-    n_ext = embed_poly(phin.r.num, emb)
-    d_ext = embed_poly(phin.r.den, emb)
-    xs, ys = [], []
-    for code in range(samples_needed):
-        y0 = ext.raw_from_code(code)
-        xs.append(y0)
-        ys.append(resultant(w_ext, n_ext - d_ext.scale(y0)))
-    R_ext = lagrange_interpolate(ext, xs, ys)
-    if R_ext.degree != W.degree:
-        raise CompositionMismatch("pushforward resultant has the wrong degree")
-    try:
-        R = Poly(ctx, [emb.descend_raw(c) for c in R_ext.coeffs])
-    except ValueError as exc:
-        raise CompositionMismatch(
-            "pushforward coefficients failed to descend") from exc
-    return squarefree_part(R)
+    F = ctx.batch
+    w = W.degree
+
+    def planes(f: Poly) -> np.ndarray:
+        out = np.zeros((ctx.k, w), dtype=np.int64)
+        rows = (f % W).digit_matrix()
+        out[:, :rows.shape[0]] = rows.T
+        return out
+
+    def inverse(digits: np.ndarray) -> np.ndarray:
+        raw = ctx.rinv(ctx.raw_from_digits(digits.tolist()))
+        return np.array(ctx.raw_digits(raw), dtype=np.int64)
+
+    w_low = W.digit_matrix()[:w].T
+    times_d = F.mulmod_matrix(planes(phin.r.den), w_low)
+    t, rho = F.first_dependency(
+        np.concatenate([times_d, planes(phin.r.num)[:, :, None]], axis=2),
+        inverse)
+    if t < w:
+        raise CompositionMismatch("den(r) is not invertible modulo W")
+    times_rho = F.mulmod_matrix(rho, w_low)
+    krylov = np.zeros((ctx.k, w, w + 1), dtype=np.int64)
+    krylov[0, 0, 0] = 1
+    for i in range(w):
+        krylov[:, :, i + 1] = F.mul(times_rho, krylov[:, None, :, i]).sum(
+            axis=2) % ctx.p
+    t, coeffs = F.first_dependency(krylov, inverse)
+    return Poly(ctx, ctx.array_to_raws((-coeffs % ctx.p).T) + [ctx.one_raw])
 
 
 def quotient_isogeny(phin: IsogenyMap, psin: IsogenyMap) -> IsogenyMap:

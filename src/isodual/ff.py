@@ -168,7 +168,9 @@ class FieldContext:
                     cur = [(c + lead * r) % p for c, r in zip(cur, red[0])]
                 red.append(tuple(cur))
             self._red = tuple(red)
-        self._hash = hash((self.p, self.k, self.modulus))
+        # (p, k) fixes the modulus; hashing None would tie set order to an
+        # address, which differs from one process to the next
+        self._hash = hash((self.p, self.k))
         self._batch = None
 
     # value identity: two contexts for the same (p, k) are the same field

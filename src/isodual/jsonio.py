@@ -11,7 +11,9 @@ Formats:
   certificate   all pipeline fields plus the serialized multiplication map,
                  sufficient for independent re-verification
 
-Deserialization is strict: digits are range-checked, curves are rebuilt
+Deserialization is strict: every count, degree and digit must be a JSON
+integer (not a string, null, float or boolean) and ``verified`` a JSON
+boolean; digits are range-checked, curves are rebuilt
 through ``field_from_params`` (the one field constructor of the JSON and
 command-line boundaries, which refuses fields beyond the desk-scale guard
 before any primality test), and isogenies are re-validated
@@ -68,6 +70,12 @@ def field_from_params(p, k) -> FieldContext:
         raise ParseError(str(exc)) from exc
 
 
+def _strict_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # -- elements ---------------------------------------------------------------
 
 
@@ -77,7 +85,7 @@ def element_to_obj(e: FieldElement) -> list[int]:
 
 def element_from_obj(ctx: FieldContext, obj) -> FieldElement:
     if not isinstance(obj, list) or not obj or \
-            not all(isinstance(d, int) for d in obj):
+            not all(type(d) is int for d in obj):
         raise ParseError(f"element must be a nonempty digit list, got {obj!r}")
     if len(obj) > ctx.k:
         raise ParseError(f"element has {len(obj)} digits, context allows {ctx.k}")
@@ -156,13 +164,11 @@ def isogeny_from_obj(obj) -> IsogenyMap:
         raise ParseError(f"isogeny needs {sorted(needed)} fields")
     domain = curve_from_obj(obj["domain"])
     codomain = curve_from_obj(obj["codomain"])
-    if not isinstance(obj["degree"], int):
-        raise ParseError("isogeny degree must be an integer")
+    degree = _strict_int(obj["degree"], "isogeny degree")
     try:
         return IsogenyMap(domain, codomain,
                           ratfunc_from_obj(domain.ctx, obj["r"]),
-                          ratfunc_from_obj(domain.ctx, obj["s"]),
-                          obj["degree"])
+                          ratfunc_from_obj(domain.ctx, obj["s"]), degree)
     except IsodualError as exc:
         raise ParseError(f"invalid isogeny payload: {exc}") from exc
 
@@ -175,8 +181,9 @@ def decomposition_to_obj(dec: Decomposition) -> dict:
 def decomposition_from_obj(obj) -> Decomposition:
     if not isinstance(obj, dict) or not {"sep", "n", "original_degree"} <= set(obj):
         raise ParseError("decomposition needs sep/n/original_degree fields")
-    return Decomposition(isogeny_from_obj(obj["sep"]), int(obj["n"]),
-                         int(obj["original_degree"]))
+    return Decomposition(isogeny_from_obj(obj["sep"]),
+                         _strict_int(obj["n"], "n"),
+                         _strict_int(obj["original_degree"], "original_degree"))
 
 
 # -- certificates ------------------------------------------------------------
@@ -205,20 +212,23 @@ def certificate_from_obj(obj) -> DualCertificate:
               "frobenius_dual", "mul_map", "verified"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise ParseError(f"certificate needs {sorted(needed)} fields")
+    verified = obj["verified"]
+    if type(verified) is not bool:
+        raise ParseError(f"verified must be true or false, got {verified!r}")
     phi = isogeny_from_obj(obj["phi"])
     ctx = phi.domain.ctx
     fd = obj["frobenius_dual"]
     return DualCertificate(
         phi=phi,
         dual=isogeny_from_obj(obj["dual"]),
-        m=int(obj["m"]),
-        n=int(obj["n"]),
-        e=int(obj["e"]),
+        m=_strict_int(obj["m"], "m"),
+        n=_strict_int(obj["n"], "n"),
+        e=_strict_int(obj["e"], "e"),
         c_phi=element_from_obj(ctx, obj["c_phi"]),
         u_phi=element_from_obj(ctx, obj["u_phi"]),
         u_m=element_from_obj(ctx, obj["u_m"]),
         lam=isogeny_from_obj(obj["lambda"]),
         frobenius_dual_used=None if fd is None else isogeny_from_obj(fd),
         mul_map=isogeny_from_obj(obj["mul_map"]),
-        verified=bool(obj["verified"]),
+        verified=verified,
     )

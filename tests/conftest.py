@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import isodual as iso
 from isodual.errors import SingularCurve
+
+# Child processes started by the CLI tests import the package the tests
+# import, also when it is not installed.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(iso.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")]))
 
 
 def nonsingular_curves(p, count):

@@ -74,3 +74,10 @@ def test_embedding_search_guard():
     # the root scan for the generator image runs over F_{11^6} > 10^6
     with pytest.raises(FieldTooLarge):
         embed(make_field(11, 2), make_field(11, 6))
+
+
+def test_product_guard():
+    # (p - 1)^2 must stay below 2^62: 2^31 - 1 is the largest prime that does
+    assert make_field(2 ** 31 - 1).batch.k == 1
+    with pytest.raises(FieldTooLarge):
+        make_field(2147483659).batch  # the next prime

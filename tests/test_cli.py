@@ -258,3 +258,53 @@ def test_dual_refuses_kernel_order_above_mul_map_cap(capsys):
     assert "12" in obj["message"] and "MUL_MAP_CAP" in obj["message"]
     code, out, _ = run_cli(capsys, "velu", *args)  # velu allows order <= 50
     assert code == 0 and json.loads(out)["degree"] == iso.point_order(P)
+
+
+@pytest.fixture(scope="module")
+def cert_obj():
+    E = iso.Curve(make_field(5), 1, 0)
+    phi = iso.velu_isogeny(E, iso.subgroup_from_generator(E.point(0, 0)))
+    return jsonio.certificate_to_obj(iso.dual_isogeny(phi))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("m",), "abc"), (("m",), True), (("n",), None), (("e",), 1.0),
+    (("verified",), 1), (("verified",), "true"), (("c_phi", 0), True),
+    (("phi", "codomain", "a", 0), False), (("phi", "degree"), True)],
+    ids=["m-string", "m-true", "n-null", "e-float", "verified-1",
+         "verified-string", "digit-true", "curve-digit-false", "degree-true"])
+def test_certificate_values_must_have_json_types(tmp_path, capsys, cert_obj,
+                                                 path, value):
+    cert = json.loads(json.dumps(cert_obj))
+    target = cert
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
+    assert code == 2 and not out
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "ParseError"  # one JSON object
+
+
+def test_error_message_is_the_same_in_every_process():
+    # the offending pair is found by walking a set of points, whose order
+    # must not depend on object addresses
+    argv = [sys.executable, "-m", "isodual.cli", "dual", "--p", "7", "--a", "1",
+            "--b", "1", "--kernel-poly", "3,1"]
+    errs = set()
+    for _ in range(6):
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 1
+        errs.add(proc.stderr)
+    assert len(errs) == 1
+    assert json.loads(errs.pop())["error"] == "NotClosed"
+
+
+def test_hashes_are_the_same_in_every_process():
+    code = ("import isodual as iso; E = iso.Curve(iso.make_field(7), 1, 1); "
+            "print(hash(iso.make_field(7)), hash(E.infinity()))")
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True).stdout for _ in range(3)}
+    assert len(outs) == 1

@@ -3,11 +3,14 @@ import random
 import pytest
 
 import isodual as iso
-from isodual.dualctor import _pointwise_dual_check
-from isodual.errors import (FieldTooLarge, InseparableMap, IsodualError,
-                            KernelNotNested, NotNormalized,
-                            UnsupportedBaseField)
+from isodual import ff
+from isodual.dualctor import _pointwise_dual_check, _pushforward_kernel_poly
+from isodual.errors import (CompositionMismatch, FieldTooLarge,
+                            InseparableMap, IsodualError, KernelNotNested,
+                            NotNormalized, UnsupportedBaseField)
 from isodual.ff import make_field
+from isodual.polyrat import (Poly, embed_poly, lagrange_interpolate, resultant,
+                             squarefree_part)
 from conftest import cyclic_subgroups, find_curves_by_trace, nonsingular_curves
 
 F5 = make_field(5)
@@ -256,6 +259,94 @@ def test_factor_through_scaling_invariance(deg2):
         phi_u = iso.iso_compose(i.as_isogeny(), phi)
         lam = iso.factor_through(phi_u, two)
         assert iso.iso_equal(iso.iso_compose(lam, phi_u), two)
+
+
+# -- the quotient's kernel pushforward -------------------------------------------
+
+
+def sampled_pushforward(phin, W):
+    """The monic radical of R(Y) = Res_x(W, num r - Y den r), from W.degree + 1
+    samples of R over an extension, interpolated and descended; None when R
+    has lower degree than W (a root of W is a pole of r)."""
+    ctx = phin.domain.ctx
+    j = 2
+    while ctx.order ** j <= W.degree + 1:
+        j += 1
+    ext = make_field(ctx.p, ctx.k * j)
+    emb = ff.embed(ctx, ext)
+    w, n, d = (embed_poly(f, emb) for f in (W, phin.r.num, phin.r.den))
+    ys = [ext.raw_from_code(c) for c in range(W.degree + 1)]
+    R = lagrange_interpolate(ext, ys, [resultant(w, n - d.scale(y)) for y in ys])
+    if R.degree < W.degree:
+        return None
+    return squarefree_part(Poly(ctx, [emb.descend_raw(c) for c in R.coeffs]))
+
+
+def dual_quotient_pairs(E, G):
+    """(phi_norm, W) for the quotient step of dual_isogeny on velu(E, G):
+    W = ker [m]_norm / ker phi_norm, with [m] reduced to its separable part."""
+    phin = iso.normalize(iso.velu_isogeny(E, G))[1]
+    mm = iso.separable_decompose(iso.mul_by_m_map(E, G.order)).sep
+    W = iso.normalize(mm)[1].kernel_polynomial() // phin.kernel_polynomial()
+    return phin, W
+
+
+def test_pushforward_matches_sampled_resultants_over_prime_fields():
+    checked = 0
+    for p in (5, 7):
+        for E in nonsingular_curves(p, 20):
+            for G in cyclic_subgroups(E, (2, 3, 4, 5, 7)):
+                phin, W = dual_quotient_pairs(E, G)
+                if W.degree > 0:
+                    assert _pushforward_kernel_poly(phin, W) == \
+                        sampled_pushforward(phin, W)
+                    checked += 1
+    assert checked >= 80
+
+
+@pytest.mark.parametrize("p, orders", [(5, (2, 3, 4)), (7, (2, 3, 4, 5))])
+def test_pushforward_matches_sampled_resultants_over_f_p2(p, orders):
+    # curves with a coefficient outside F_p, so the digit planes carry k = 2
+    ctx = make_field(p, 2)
+    checked = outside_f_p = 0
+    for b in range(1, p):
+        try:
+            E = iso.Curve(ctx, ctx.element([0, 1]), b)
+        except iso.errors.SingularCurve:
+            continue
+        for G in cyclic_subgroups(E, orders):
+            phin, W = dual_quotient_pairs(E, G)
+            if W.degree > 0:
+                T = _pushforward_kernel_poly(phin, W)
+                assert T == sampled_pushforward(phin, W)
+                checked += 1
+                outside_f_p += any(c[1] for c in T.coeffs)
+        if checked >= 6:
+            break
+    assert checked >= 6 and outside_f_p >= 1
+
+
+def test_pushforward_refuses_a_pole_of_r_among_the_roots_of_w(deg2):
+    _, _, phi = deg2  # den r = x
+    W = Poly.from_ints(F5, [0, 4, 1])  # x (x - 1)
+    assert sampled_pushforward(phi, W) is None
+    with pytest.raises(CompositionMismatch):
+        _pushforward_kernel_poly(phi, W)
+
+
+def test_factor_through_builds_no_extension_field(monkeypatch):
+    E = iso.Curve(make_field(1009), 1, 0)
+    phi = iso.velu_isogeny(E, iso.subgroup_from_generator(E.point(0, 0)))
+    two = iso.mul_by_m_map(E, 2)
+    built = []
+    make, embed = ff.make_field, ff.embed
+    monkeypatch.setattr(ff, "make_field",
+                        lambda p, k=1: built.append(k) or make(p, k))
+    monkeypatch.setattr(ff, "embed",
+                        lambda src, dst: built.append(dst.k) or embed(src, dst))
+    lam = iso.factor_through(phi, two)
+    assert iso.iso_equal(iso.iso_compose(lam, phi), two)
+    assert all(k == 1 for k in built)
 
 
 # -- Frobenius dual -------------------------------------------------------------

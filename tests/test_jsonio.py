@@ -67,6 +67,16 @@ def test_decomposition_roundtrip(e_f5):
     assert back.n == dec.n and iso.iso_equal(back.sep, dec.sep)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", "1"), ("n", None), ("n", True), ("original_degree", 25.0)])
+def test_decomposition_integers_are_strict(e_f5, key, value):
+    dec = iso.separable_decompose(iso.mul_by_m_map(e_f5, 5))
+    obj = jsonio.decomposition_to_obj(dec)
+    obj[key] = value
+    with pytest.raises(ParseError):
+        jsonio.decomposition_from_obj(obj)
+
+
 def test_certificate_roundtrip(fixture_cert):
     obj = jsonio.certificate_to_obj(fixture_cert)
     back = jsonio.certificate_from_obj(obj)
