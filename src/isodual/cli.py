@@ -20,9 +20,11 @@ import json
 import sys
 
 from . import jsonio
-from .curve import (MUL_MAP_CAP, Curve, Point, embed_curve, mul_by_m_map,
-                    subgroup_from_generator, subgroup_from_points)
-from .dualctor import dual_isogeny, separable_decompose, verify_dual
+from .curve import (MUL_MAP_CAP, Curve, Point, mul_by_m_map,
+                    subgroup_from_generator, subgroup_from_points,
+                    subgroup_from_x_coordinates)
+from .dualctor import (dual_isogeny, separable_decompose, verify_certificate,
+                       verify_dual)
 from .errors import FieldTooLarge, IsodualError, KernelNotRational, ParseError
 from .ff import make_field
 from .isogeny import iso_eval, velu_isogeny
@@ -77,8 +79,6 @@ def _subgroup_from_kernel_poly(E: Curve, kp: Poly):
     F_{p^(k*j)} for j <= 4, up to the first field beyond the scan guard."""
     if kp.degree < 0:
         raise ParseError("--kernel-poly: zero polynomial")
-    if kp.degree == 0:
-        return subgroup_from_points([E.infinity()])
     kp = kp.monic()
     for j in POLY_SPLIT_DEGREES:
         ctx_j = make_field(E.ctx.p, E.ctx.k * j)
@@ -88,23 +88,10 @@ def _subgroup_from_kernel_poly(E: Curve, kp: Poly):
             break
         if len(roots) < kp.degree:
             continue
-        big = embed_curve(E, ctx_j)
-        f = big.f_poly()
-        points = [big.infinity()]
-        complete = True
-        for x0 in roots:
-            c = ctx_j.wrap(f.eval_raw(x0.raw))
-            if c.is_zero():
-                points.append(Point(big, x0, ctx_j.zero))
-                continue
-            ys = roots_bruteforce(
-                Poly(ctx_j, (ctx_j.rneg(c.raw), ctx_j.zero_raw, ctx_j.one_raw)))
-            if not ys:
-                complete = False
-                break
-            points.extend(Point(big, x0, y0) for y0 in ys)
-        if complete:
-            return subgroup_from_points(points, base_curve=E)
+        try:
+            return subgroup_from_x_coordinates(E, roots, ctx_j)
+        except KernelNotRational:  # an x with no y: try a larger field
+            continue
     raise KernelNotRational(
         "kernel polynomial does not split into points over F_{p^(k*j)}, j <= 4")
 
@@ -240,12 +227,6 @@ def _cmd_eval(args):
     return obj, f"phi({P!r}) = {Q!r}"
 
 
-def _verify_pair(phi, dual) -> dict:
-    if not verify_dual(phi, dual):
-        raise IsodualError("dual identity failed")
-    return {"m": phi.degree, "verified": True}
-
-
 def _cmd_verify(args):
     sources = [bool(args.cert), bool(args.phi or args.dual), bool(args.batch)]
     if sum(sources) != 1:
@@ -258,23 +239,28 @@ def _cmd_verify(args):
         results = []
         for i, obj in enumerate(payload):
             cert = jsonio.certificate_from_obj(obj)
-            ok = verify_dual(cert.phi, cert.dual)
-            results.append({"index": i, "m": cert.m, "verified": ok})
-        if not all(r["verified"] for r in results):
-            bad = [r["index"] for r in results if not r["verified"]]
-            raise IsodualError(f"dual identity failed for entries {bad}")
+            results.append({"index": i, "m": cert.m,
+                            "verified": verify_certificate(cert)})
+        bad = [r["index"] for r in results if not r["verified"]]
+        if bad:
+            raise IsodualError(f"certificate check failed for entries {bad}")
         obj = {"results": results, "all_verified": True}
         return obj, "\n".join(
             f"certificate {r['index']}: verified (m = {r['m']})" for r in results)
     if args.cert:
         cert = jsonio.certificate_from_obj(_load_json(args.cert))
-        phi, dual = cert.phi, cert.dual
+        if not verify_certificate(cert):
+            raise IsodualError(
+                "certificate check failed: m, mul_map or dual o phi == [m]")
+        obj = {"m": cert.m, "verified": True}
     else:
         if not (args.phi and args.dual):
             raise ParseError("--phi and --dual must be given together")
         phi = jsonio.isogeny_from_obj(_load_json(args.phi))
         dual = jsonio.isogeny_from_obj(_load_json(args.dual))
-    obj = _verify_pair(phi, dual)
+        if not verify_dual(phi, dual):
+            raise IsodualError("dual identity failed")
+        obj = {"m": phi.degree, "verified": True}
     return obj, f"verified: dual o phi == [{obj['m']}]"
 
 

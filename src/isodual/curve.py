@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import accel, ff
-from .errors import (CurveMismatch, DegreeTooLarge, NotClosed, NotGaloisStable,
-                     NotOnCurve, SingularCurve, ZeroMultiplier)
-from .polyrat import Poly, RatFunc
+from .errors import (CurveMismatch, DegreeTooLarge, KernelNotRational,
+                     NotClosed, NotGaloisStable, NotOnCurve, SingularCurve,
+                     ZeroMultiplier)
+from .polyrat import Poly, RatFunc, roots_bruteforce
 
 MUL_MAP_CAP = 12  # [m] has degree m^2; desk-scale cap
 
@@ -411,6 +412,23 @@ def subgroup_from_points(points, base_curve: Curve | None = None) -> Subgroup:
                 raise NotClosed(f"{P!r} + {Q!r} escapes the point list")
     base = _resolve_base(ambient, base_curve)
     return _finish_subgroup(base, ambient, pts)
+
+
+def subgroup_from_x_coordinates(E: Curve, xs, ctx: ff.FieldContext) -> Subgroup:
+    """The subgroup of E's points over ctx (E's field or an extension) whose
+    x-coordinates are xs, elements of ctx: O and every y with
+    y^2 = f(x), for each x; KernelNotRational when an x has none."""
+    big = embed_curve(E, ctx) if ctx != E.ctx else E
+    f = big.f_poly()
+    points = [big.infinity()]
+    for x0 in xs:
+        c = f.eval_raw(x0.raw)
+        ys = [ctx.zero] if ctx.raw_is_zero(c) else roots_bruteforce(
+            Poly(ctx, (ctx.rneg(c), ctx.zero_raw, ctx.one_raw)))
+        if not ys:
+            raise KernelNotRational(f"no point with x = {x0} over the given context")
+        points.extend(Point(big, x0, y0, _checked=True) for y0 in ys)
+    return subgroup_from_points(points, base_curve=E)
 
 
 def trivial_subgroup(E: Curve) -> Subgroup:

@@ -20,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import accel
-from .errors import (CharTooSmall, ContextMismatch, DivisionByZero,
-                     FieldTooLarge, NotPrime)
+from .errors import CharTooSmall, ContextMismatch, DivisionByZero, NotPrime
 
 
 def is_prime(n: int) -> bool:
@@ -357,9 +356,8 @@ class FieldContext:
 
     def elements(self):
         """All field elements in code order (guarded exhaustive scan)."""
-        if self.order > accel.SCAN_GUARD:
-            raise FieldTooLarge(f"|K| = {self.order} exceeds the scan guard")
-        return [self.wrap(self.raw_from_code(c)) for c in range(self.order)]
+        digits = accel.all_element_digits(self.p, self.k)
+        return [self.wrap(raw) for raw in self.array_to_raws(digits)]
 
     # numpy interop for the batch kernels
     @property
@@ -494,37 +492,6 @@ class FieldElement:
 # subfield embeddings
 
 
-def _solve_mod(matrix: list[list[int]], rhs: list[int], p: int):
-    """Solve M v = rhs over F_p (M given by rows).  Returns v or None."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] % p), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] % p:
-                factor = aug[i][c]
-                aug[i] = [(v - factor * w) % p for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols] % p:
-            return None
-    sol = [0] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols] % p
-    return sol
-
-
 class Embedding:
     """The canonical embedding F_{p^k0} -> F_{p^k} (k0 | k) sending the
     source generator to the root of the source modulus with the smallest
@@ -545,8 +512,7 @@ class Embedding:
                 basis.append(dst.raw_digits(cur))
                 cur = dst.rmul(cur, gen_image)
             # rows indexed by dst digit position, columns by src power
-            self._basis = [[basis[c][r] for c in range(src.k)]
-                           for r in range(dst.k)]
+            self._basis = np.array(basis, dtype=np.int64).T
 
     def apply_raw(self, raw):
         if self.src == self.dst:
@@ -574,10 +540,16 @@ class Embedding:
             if any(digits[1:]):
                 raise ValueError("value not in the prime subfield")
             return digits[0]
-        sol = _solve_mod(self._basis, digits, self.dst.p)
-        if sol is None:
-            raise ValueError("value not in the embedded subfield")
-        return self.src.raw_from_digits(sol)
+        # the basis columns are independent, so the digits column is the
+        # first dependent one exactly when the value lies in the subfield
+        prime = make_field(self.dst.p)
+        aug = np.column_stack([self._basis, digits])[None]
+        try:
+            _, sol = prime.batch.first_dependency(
+                aug, lambda d: np.array([prime.rinv(int(d[0]))]))
+        except ValueError:
+            raise ValueError("value not in the embedded subfield") from None
+        return self.src.raw_from_digits(sol[0].tolist())
 
     def descend(self, elt: FieldElement) -> FieldElement:
         if elt.ctx != self.dst:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from . import ff
 from .curve import (Curve, Point, PointBatch, Subgroup, batch_points,
                     embed_curve, embed_point, point_add, point_batch,
-                    subgroup_from_points)
+                    subgroup_from_x_coordinates)
 from .errors import (CurveChainMismatch, CurveMismatch, DegreeTooLarge,
                      IsodualError, KernelNotRational, UnsupportedBaseField)
 from .polyrat import (Poly, RatFunc, embed_ratfunc, roots_bruteforce,
@@ -367,34 +367,12 @@ def kernel_of(phi: IsogenyMap, ctx: ff.FieldContext) -> Subgroup:
     dom = phi.domain
     if ctx.p != dom.ctx.p or ctx.k % dom.ctx.k:
         raise CurveMismatch("ctx is not an extension of the map's base field")
-    big = embed_curve(dom, ctx) if ctx != dom.ctx else dom
     radical = phi.kernel_polynomial()
-    if radical.degree < 1:
-        return subgroup_from_points([big.infinity()], base_curve=dom)
     xs = roots_bruteforce(radical, ctx)
     if len(xs) < radical.degree:
         raise KernelNotRational(
             "kernel x-coordinates do not all split over the given context")
-    f = big.f_poly()
-    points = [big.infinity()]
-    for x0 in xs:
-        rhs = ctx.wrap(f.eval_raw(x0.raw))
-        ys = _square_roots(ctx, rhs)
-        if not ys:
-            raise KernelNotRational(
-                f"no point with x = {x0} over the given context")
-        for y0 in ys:
-            points.append(Point(big, x0, y0, _checked=True))
-    return subgroup_from_points(points, base_curve=dom)
-
-
-def _square_roots(ctx: ff.FieldContext, c: ff.FieldElement) -> list[ff.FieldElement]:
-    """All y with y^2 = c, by the guarded exhaustive scan."""
-    if c.is_zero():
-        return [ctx.zero]
-    roots = roots_bruteforce(
-        Poly(ctx, (ctx.rneg(c.raw), ctx.zero_raw, ctx.one_raw)))
-    return roots
+    return subgroup_from_x_coordinates(dom, xs, ctx)
 
 
 def frobenius_isogeny(E: Curve, n: int) -> IsogenyMap:

@@ -139,11 +139,6 @@ class Poly:
             return Poly(ctx, ())
         return Poly(ctx, [ctx.rmul(c, raw) for c in self._c])
 
-    def times_x_power(self, j: int) -> "Poly":
-        if self.is_zero():
-            return self
-        return Poly(self.ctx, (self.ctx.zero_raw,) * j + self._c)
-
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
@@ -295,12 +290,6 @@ def embed_poly(f: Poly, emb: ff.Embedding) -> Poly:
     if f.ctx != emb.src:
         raise ContextMismatch("polynomial not over the embedding source")
     return Poly(emb.dst, [emb.apply_raw(c) for c in f._c])
-
-
-def descend_poly(f: Poly, emb: ff.Embedding) -> Poly:
-    if f.ctx != emb.dst:
-        raise ContextMismatch("polynomial not over the embedding destination")
-    return Poly(emb.src, [emb.descend_raw(c) for c in f._c])
 
 
 def roots_bruteforce(f: Poly, ctx: ff.FieldContext | None = None) -> list[ff.FieldElement]:

@@ -68,6 +68,8 @@ def test_inverse_table_guard():
     F = make_field(1009, 2).batch  # 1009^2 > 10^6 elements
     with pytest.raises(FieldTooLarge):
         F.inv(np.ones((2, 1), dtype=np.int64))
+    with pytest.raises(FieldTooLarge):
+        make_field(1009, 2).elements()
 
 
 def test_embedding_search_guard():

@@ -42,6 +42,42 @@ def test_velu_kernel_points(capsys):
     assert json.loads(out)["degree"] == 2
 
 
+def test_velu_kernel_poly_with_points_over_the_square_field(capsys):
+    # x^3 + x + 3 has one root in F_7 and splits over F_49: the kernel is
+    # E[2], whose points lie over F_49
+    E = iso.Curve(make_field(7), 1, 3)
+    big = iso.embed_curve(E, make_field(7, 2))
+    two_torsion = [P for P in iso.enumerate_points(big)
+                   if iso.scalar_mul(2, P).is_infinity]
+    G = iso.subgroup_from_points(two_torsion, base_curve=E)
+    code, out, err = run_cli(capsys, "velu", "--p", "7", "--a", "1", "--b", "3",
+                             "--kernel-poly", "3,1,0,1")
+    assert code == 0 and not err
+    assert out == jsonio.dumps(jsonio.isogeny_to_obj(iso.velu_isogeny(E, G))) + "\n"
+
+
+def test_velu_constant_kernel_poly_is_the_identity(capsys):
+    code, out, err = run_cli(capsys, "velu", "--p", "5", "--a", "1", "--b", "0",
+                             "--kernel-poly", "3")
+    assert code == 0 and not err
+    E = iso.Curve(make_field(5), 1, 0)
+    assert out == jsonio.dumps(
+        jsonio.isogeny_to_obj(iso.identity_isogeny(E))) + "\n"
+
+
+@pytest.mark.parametrize("p, a, b, kernel_poly", [
+    ("5", "1", "0", "0,0,1"), ("997", "1", "1", "995,0,1")],
+    ids=["repeated-root", "no-point-within-the-guard"])
+def test_velu_kernel_poly_without_kernel_points_exits_1(capsys, p, a, b,
+                                                       kernel_poly):
+    # x^2 has one root for two factors; x^2 - 2 splits over F_997^2, which
+    # holds no point above its roots, and F_997^3 is past the scan guard
+    code, out, err = run_cli(capsys, "velu", "--p", p, "--a", a, "--b", b,
+                             "--kernel-poly", kernel_poly)
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "KernelNotRational"
+
+
 def test_cli_determinism(capsys):
     args = ("dual", "--p", "5", "--a", "1", "--b", "0", "--kernel-gen", "0,0")
     outs = set()
@@ -286,6 +322,28 @@ def test_certificate_values_must_have_json_types(tmp_path, capsys, cert_obj,
     assert code == 2 and not out
     assert "Traceback" not in err
     assert json.loads(err)["error"] == "ParseError"  # one JSON object
+
+
+@pytest.mark.parametrize("claim", ["m", "mul_map"])
+def test_verify_cert_checks_m_and_mul_map(tmp_path, capsys, cert_obj, claim):
+    cert = json.loads(json.dumps(cert_obj))
+    cert[claim] = -1 if claim == "m" else cert["phi"]
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "IsodualError"  # one JSON object
+
+
+def test_verify_batch_names_the_entry_with_a_wrong_m(tmp_path, capsys,
+                                                     cert_obj):
+    wrong = json.loads(json.dumps(cert_obj))
+    wrong["m"] = 99
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([cert_obj, wrong]))
+    code, out, err = run_cli(capsys, "verify", "--batch", str(batch))
+    assert code == 1 and not out
+    assert "[1]" in json.loads(err)["message"]
 
 
 def test_error_message_is_the_same_in_every_process():

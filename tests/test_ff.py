@@ -184,6 +184,9 @@ def test_embedding_descend_rejects_outsiders():
     gen = dst.element([0, 1])
     with pytest.raises(ValueError):
         emb.descend(gen)
+    # a generator of F_{5^4} has degree 4, so it lies outside F_{5^2}
+    with pytest.raises(ValueError, match="not in the embedded subfield"):
+        embed(dst, make_field(5, 4)).descend(make_field(5, 4).element([0, 1]))
 
 
 def test_embedding_requires_compatible_fields():
