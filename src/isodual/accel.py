@@ -20,7 +20,9 @@ base-p digit i of every element, little-endian by modulus power, so each
 digit is one contiguous row; vectors and matrices add trailing axes
 ((k, w) and (k, rows, cols)).  ``red`` holds the reductions of x^(k+j)
 modulo the field modulus, one row per j in 0..k-2 (shape (k-1, k); empty
-for prime fields).  ``BatchField`` refuses fields whose products could leave
+for prime fields).  ``code_planes`` and ``BatchField.to_codes`` convert
+between digit planes and element codes, the scalar representation of
+``ff``.  ``BatchField`` refuses fields whose products could leave
 int64 (see ``_mul_unreduced``); every field within the desk-scale guard
 (p^k <= 10^6) stays below 2^40.
 
@@ -187,17 +189,23 @@ def poly_eval_batch(coeffs: np.ndarray, xs: np.ndarray, p: int,
     return np.ascontiguousarray(planes.T)
 
 
+def code_planes(codes: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Digit planes (k, n) of the elements of F_{p^k} whose codes are the
+    entries of codes (n,); the inverse of ``BatchField.to_codes``."""
+    rem = codes
+    planes = np.empty((k,) + codes.shape, dtype=np.int64)
+    for i in range(k):
+        rem, planes[i] = np.divmod(rem, p)
+    return planes
+
+
 def all_element_planes(p: int, k: int) -> np.ndarray:
     """Digit planes of every element of F_{p^k}, in code order (shape
     (k, p^k)); the one place a whole-field scan checks the guard."""
     q = p ** k
     if q > SCAN_GUARD:
         raise FieldTooLarge(f"|K| = {q} exceeds the scan guard")
-    rem = np.arange(q, dtype=np.int64)
-    planes = np.empty((k, rem.shape[0]), dtype=np.int64)
-    for i in range(k):
-        rem, planes[i] = np.divmod(rem, p)
-    return planes
+    return code_planes(np.arange(q, dtype=np.int64), p, k)
 
 
 def all_element_digits(p: int, k: int) -> np.ndarray:

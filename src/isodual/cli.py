@@ -239,8 +239,11 @@ def _cmd_verify(args):
         results = []
         for i, obj in enumerate(payload):
             cert = jsonio.certificate_from_obj(obj)
-            results.append({"index": i, "m": cert.m,
-                            "verified": verify_certificate(cert)})
+            try:
+                verified = verify_certificate(cert)
+            except IsodualError:  # parsing is done: a failed entry, named below
+                verified = False
+            results.append({"index": i, "m": cert.m, "verified": verified})
         bad = [r["index"] for r in results if not r["verified"]]
         if bad:
             raise IsodualError(f"certificate check failed for entries {bad}")
@@ -251,7 +254,8 @@ def _cmd_verify(args):
         cert = jsonio.certificate_from_obj(_load_json(args.cert))
         if not verify_certificate(cert):
             raise IsodualError(
-                "certificate check failed: m, mul_map or dual o phi == [m]")
+                "certificate check failed: verified, m, mul_map or "
+                "dual o phi == [m]")
         obj = {"m": cert.m, "verified": True}
     else:
         if not (args.phi and args.dual):

@@ -129,7 +129,7 @@ def point_add(P: Point, Q: Point) -> Point:
     ctx = P.curve.ctx
     x1, y1, x2, y2 = P.x.raw, P.y.raw, Q.x.raw, Q.y.raw
     if x1 == x2:
-        if ctx.raw_is_zero(ctx.radd(y1, y2)):
+        if ctx.radd(y1, y2) == 0:
             return P.curve.infinity()
         # tangent: (3x^2 + a) / 2y
         num = ctx.radd(ctx.rmul(ctx.raw_from_int(3), ctx.rmul(x1, x1)),
@@ -194,18 +194,17 @@ class PointBatch:
 def point_batch(E: Curve, points) -> PointBatch:
     """The batch of a list of points of E, in list order."""
     ctx = E.ctx
-    zero = ctx.zero_raw
-    xs = ctx.raws_to_array([zero if P.is_infinity else P.x.raw for P in points])
-    ys = ctx.raws_to_array([zero if P.is_infinity else P.y.raw for P in points])
+    xs = ctx.raws_to_planes([0 if P.is_infinity else P.x.raw for P in points])
+    ys = ctx.raws_to_planes([0 if P.is_infinity else P.y.raw for P in points])
     inf = np.array([P.is_infinity for P in points], dtype=bool)
-    return PointBatch(xs.T.copy(), ys.T.copy(), inf)
+    return PointBatch(xs, ys, inf)
 
 
 def batch_points(E: Curve, B: PointBatch) -> list[Point]:
     """The points of a batch on E, in batch order."""
     ctx = E.ctx
-    xs = ctx.array_to_raws(B.x.T)
-    ys = ctx.array_to_raws(B.y.T)
+    xs = ctx.planes_to_raws(B.x)
+    ys = ctx.planes_to_raws(B.y)
     O = E.infinity()
     return [O if o else Point(E, ctx.wrap(x), ctx.wrap(y), _checked=True)
             for x, y, o in zip(xs, ys, B.inf.tolist())]
@@ -240,7 +239,7 @@ def batch_point_add(E: Curve, P: PointBatch, Q: PointBatch) -> PointBatch:
     masks for O, for P + (-P) and for doubling a point with y = 0."""
     F = E.ctx.batch
     p = F.p
-    a = np.array(E.ctx.raw_digits(E.a.raw), dtype=np.int64)[:, None]
+    a = E.ctx.raws_to_planes([E.a.raw])
     same_x = (P.x == Q.x).all(axis=0)
     opposite = same_x & ~((P.y + Q.y) % p).any(axis=0)
     tangent = same_x & ~opposite
@@ -423,7 +422,7 @@ def subgroup_from_x_coordinates(E: Curve, xs, ctx: ff.FieldContext) -> Subgroup:
     points = [big.infinity()]
     for x0 in xs:
         c = f.eval_raw(x0.raw)
-        ys = [ctx.zero] if ctx.raw_is_zero(c) else roots_bruteforce(
+        ys = [ctx.zero] if c == 0 else roots_bruteforce(
             Poly(ctx, (ctx.rneg(c), ctx.zero_raw, ctx.one_raw)))
         if not ys:
             raise KernelNotRational(f"no point with x = {x0} over the given context")

@@ -168,7 +168,7 @@ def _pushforward_kernel_poly(phin: IsogenyMap, W: Poly) -> Poly:
         krylov[:, :, i + 1] = F.mul(times_rho, krylov[:, None, :, i]).sum(
             axis=2) % ctx.p
     t, coeffs = F.first_dependency(krylov, inverse)
-    return Poly(ctx, ctx.array_to_raws((-coeffs % ctx.p).T) + [ctx.one_raw])
+    return Poly(ctx, ctx.planes_to_raws(-coeffs % ctx.p) + [ctx.one_raw])
 
 
 def quotient_isogeny(phin: IsogenyMap, psin: IsogenyMap) -> IsogenyMap:
@@ -259,10 +259,11 @@ def verify_dual(phi: IsogenyMap, dual: IsogenyMap) -> bool:
 
 
 def verify_certificate(cert: DualCertificate) -> bool:
-    """verify_dual on the certificate's maps, and its claims m = deg phi
-    and mul_map = [m], against the [m] that the check builds."""
+    """verify_dual on the certificate's maps, and its claims verified = true,
+    m = deg phi and mul_map = [m], against the [m] that the check builds."""
     mul_map = _chained_mul_map(cert.phi, cert.dual)
-    return (cert.m == cert.phi.degree and cert.mul_map == mul_map
+    return (cert.verified and cert.m == cert.phi.degree
+            and cert.mul_map == mul_map
             and _verify_inner(cert.phi, cert.dual, mul_map))
 
 
@@ -299,7 +300,6 @@ def dual_isogeny(phi: IsogenyMap) -> DualCertificate:
     e = dec_m.n
 
     i_phi, phi_norm = normalize(dec.sep)
-    c_phi = pullback_constant(dec.sep)
     i_m, m_norm = normalize(dec_m.sep)
 
     lam = quotient_isogeny(phi_norm, m_norm)
@@ -316,7 +316,8 @@ def dual_isogeny(phi: IsogenyMap) -> DualCertificate:
     mul_map = mm if n == 0 else mul_by_m_map(E, m)
     if not _verify_inner(phi, dual, mul_map):
         raise VerificationFailed("dual o phi != [m]")
-    return DualCertificate(phi=phi, dual=dual, m=m, n=n, e=e, c_phi=c_phi,
+    # normalize solves u = c, so u_phi is the pullback constant of phi_sep
+    return DualCertificate(phi=phi, dual=dual, m=m, n=n, e=e, c_phi=i_phi.u,
                            u_phi=i_phi.u, u_m=i_m.u, lam=lam,
                            frobenius_dual_used=pi_dual, mul_map=mul_map,
                            verified=True)

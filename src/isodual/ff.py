@@ -7,10 +7,17 @@ Design notes:
   modulus: the monic degree-k polynomial with the smallest little-endian
   base-p code whose irreducibility passes Rabin's test.  Same (p, k) always
   yields the same modulus, so fixtures and serialised data are stable.
-* Elements are canonical digit vectors, fully reduced mod p.  Internally a
-  "raw" element is a plain int when k == 1 and a k-tuple of ints otherwise;
-  the FieldElement class is a thin wrapper.  Hot loops elsewhere in the
-  package work on raws through the context methods.
+* Every element is stored as its code, a plain int in [0, p^k): the
+  little-endian base-p packing d_0 + d_1 p + ... + d_{k-1} p^(k-1) of its
+  digits, d_i in [0, p) being its coordinate on t^i for t a root of the
+  modulus.  So zero is 0, one is 1, an element of F_p keeps its code in
+  every extension, and ``FieldElement.code`` is the raw itself.  The
+  FieldElement class is a thin wrapper around that "raw"; hot loops
+  elsewhere in the package work on raws through the context methods, and
+  the batch kernels of ``accel`` on digit planes, which ``raws_to_planes``
+  and ``planes_to_raws`` convert to and from.
+* Polynomial arithmetic over F_p lives in ``polyrat`` alone; the modulus
+  search and the extension inverse borrow ``polyrat.Poly``.
 """
 
 from __future__ import annotations
@@ -38,99 +45,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# int-list polynomial helpers over F_p (little-endian), used for modulus
-# search and for extension-element inversion.  Kept local to avoid a cycle
-# with the polyrat module.
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([v % p for v in out])
-
-
-def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    rem = [v % p for v in a]
-    _trim(rem)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        factor = rem[-1] * inv_lead % p
-        quo[shift] = factor
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bi) % p
-        _trim(rem)
-    return quo, rem
-
-
-def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [v * inv % p for v in a]
-    return a
-
-
-def _powmod_x(e: int, f: list[int], p: int) -> list[int]:
-    """x^e modulo the monic polynomial f."""
-    result = [1]
-    base = _divmod([0, 1], f, p)[1]
-    while e:
-        if e & 1:
-            result = _divmod(_mul(result, base, p), f, p)[1]
-        base = _divmod(_mul(base, base, p), f, p)[1]
-        e >>= 1
-    return result
-
-
-def _minus_x(g: list[int], p: int) -> list[int]:
-    out = list(g)
-    while len(out) < 2:
-        out.append(0)
-    out[1] = (out[1] - 1) % p
-    return _trim(out)
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over F_p."""
-    k = len(f) - 1
-    if k == 1:
-        return True
-    if _minus_x(_powmod_x(p ** k, f, p), p):
-        return False
-    for q in {d for d in range(2, k + 1) if k % d == 0 and is_prime(d)}:
-        diff = _minus_x(_powmod_x(p ** (k // q), f, p), p)
-        if _gcd(f, diff, p) != [1]:
-            return False
-    return True
-
-
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Monic irreducible of degree k with the smallest base-p code,
-    scanning the constant term upward."""
+    """Monic irreducible of degree k over F_p with the smallest base-p code,
+    scanning the constant term upward.
+
+    Rabin's test: a monic f of degree k is irreducible exactly when f
+    divides x^(p^k) - x and is coprime to x^(p^(k/q)) - x for every prime q
+    dividing k.
+    """
+    from .polyrat import Poly, poly_gcd  # deferred: polyrat imports this module
+
+    base = make_field(p)
+    x = Poly.x(base)
+
+    def frobenius_minus_x(f: Poly, j: int) -> Poly:
+        # x^(p^j) - x modulo f, by square-and-multiply
+        result, power, e = Poly.one(base), x, p ** j
+        while e:
+            if e & 1:
+                result = result * power % f
+            power = power * power % f
+            e >>= 1
+        return result - x
+
+    primes = [q for q in range(2, k + 1) if k % q == 0 and is_prime(q)]
     for code in range(p ** k):
-        digits, rem = [], code
-        for _ in range(k):
-            digits.append(rem % p)
-            rem //= p
-        f = digits + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+        f = Poly(base, [code // p ** i % p for i in range(k)] + [1])
+        if frobenius_minus_x(f, k).is_zero() and all(
+                poly_gcd(f, frobenius_minus_x(f, k // q)).degree == 0
+                for q in primes):
+            return f.coeffs
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
@@ -141,6 +85,9 @@ class FieldContext:
     """The field F_{p^k}; immutable, deterministic, safe to share."""
 
     __slots__ = ("p", "k", "modulus", "_red", "_hash", "_batch")
+
+    zero_raw = 0
+    one_raw = 1
 
     def __init__(self, p: int, k: int = 1):
         if p in (2, 3):
@@ -191,51 +138,70 @@ class FieldContext:
     def order(self) -> int:
         return self.p ** self.k
 
-    # -- raw element layer ---------------------------------------------------
+    # -- raw element layer: every raw is the element's code ------------------
 
-    @property
-    def zero_raw(self):
-        return 0 if self.k == 1 else (0,) * self.k
+    def raw_from_int(self, n: int) -> int:
+        return n % self.p
 
-    @property
-    def one_raw(self):
-        return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
+    def raw_from_code(self, code: int) -> int:
+        """The identity: a raw is its code."""
+        return code
 
-    def raw_from_int(self, n: int):
-        if self.k == 1:
-            return n % self.p
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    def raw_from_digits(self, digits) -> "int | tuple[int, ...]":
-        digits = [int(d) % self.p for d in digits]
+    def raw_from_digits(self, digits) -> int:
+        """The code of the element with these base-p digits, each reduced
+        mod p (missing high digits are zero)."""
+        digits = list(digits)
         if len(digits) > self.k:
             raise ValueError(f"expected at most {self.k} digits")
-        digits += [0] * (self.k - len(digits))
-        return digits[0] if self.k == 1 else tuple(digits)
+        p = self.p
+        code = 0
+        for d in reversed(digits):
+            code = code * p + int(d) % p
+        return code
+
+    def raw_digits(self, a: int) -> tuple[int, ...]:
+        p = self.p
+        digits = []
+        for _ in range(self.k):
+            a, d = divmod(a, p)
+            digits.append(d)
+        return tuple(digits)
+
+    def raw_is_zero(self, a: int) -> bool:
+        return a == 0
+
+    def _digitwise(self, a, b, sign: int):
+        """a + sign * b digit by digit, up to the last nonzero digit."""
+        p = self.p
+        code, scale = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            code += (x + sign * y) % p * scale
+            scale *= p
+        return code
 
     def radd(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return self._digitwise(a, b, 1)
 
     def rsub(self, a, b):
         if self.k == 1:
             return (a - b) % self.p
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self._digitwise(a, b, -1)
 
     def rneg(self, a):
         if self.k == 1:
             return -a % self.p
-        p = self.p
-        return tuple(-x % p for x in a)
+        return self._digitwise(0, a, -1)
 
     def rmul(self, a, b):
         p = self.p
         if self.k == 1:
             return a * b % p
         k = self.k
+        a, b = self.raw_digits(a), self.raw_digits(b)
         conv = [0] * (2 * k - 1)
         for i in range(k):
             ai = a[i]
@@ -248,32 +214,28 @@ class FieldContext:
                 row = self._red[j]
                 for i in range(k):
                     conv[i] += hi * row[i]
-        return tuple(v % p for v in conv[:k])
+        code = 0
+        for i in range(k - 1, -1, -1):
+            code = code * p + conv[i] % p
+        return code
 
     def rinv(self, a):
         p = self.p
-        if self.k == 1:
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return pow(a, p - 2, p)
-        if not any(a):
+        if a == 0:
             raise DivisionByZero("inverse of zero")
+        if self.k == 1:
+            return pow(a, p - 2, p)
+        from .polyrat import Poly  # deferred: polyrat imports this module
+
         # extended Euclid over F_p[t] against the modulus
-        r0, r1 = list(self.modulus), _trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _divmod(r0, r1, p)
-            s = [v % p for v in s0]
-            qs = _mul(q, s1, p)
-            length = max(len(s), len(qs))
-            s += [0] * (length - len(s))
-            qs += [0] * (length - len(qs))
-            s = _trim([(x - y) % p for x, y in zip(s, qs)])
-            r0, r1, s0, s1 = r1, r, s1, s
-        inv_c = pow(r0[0], p - 2, p)  # r0 is a nonzero constant
-        out = [v * inv_c % p for v in s0]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
+        base = make_field(p)
+        r0, r1 = Poly(base, self.modulus), Poly(base, self.raw_digits(a))
+        s0, s1 = Poly.zero(base), Poly.one(base)
+        while not r1.is_zero():
+            q, r = divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        # r0 is a nonzero constant, since the modulus is irreducible
+        return self.raw_from_digits(s0.scale(base.rinv(r0.leading)).coeffs)
 
     def rdiv(self, a, b):
         return self.rmul(a, self.rinv(b))
@@ -291,45 +253,13 @@ class FieldContext:
         return result
 
     def rfrobenius(self, a, j: int = 1):
-        """a -> a^(p^j)."""
-        if self.k == 1:
-            return a
-        j %= self.k
-        if j == 0:
-            return a
-        if not any(a):
-            return a
-        e = pow(self.p, j, self.order - 1)
-        return self.rpow(a, e)
+        """a -> a^(p^j); the identity when k divides j."""
+        e = pow(self.p, j % self.k, self.order - 1)
+        return a if e == 1 else self.rpow(a, e)
 
     def rpth_root(self, a, j: int = 1):
         """The unique b with b^(p^j) = a (Frobenius is invertible)."""
-        if self.k == 1:
-            return a
-        return self.rfrobenius(a, (self.k - (j % self.k)) % self.k)
-
-    def raw_is_zero(self, a) -> bool:
-        return a == 0 if self.k == 1 else not any(a)
-
-    def raw_digits(self, a) -> tuple[int, ...]:
-        return (a,) if self.k == 1 else tuple(a)
-
-    def raw_code(self, a) -> int:
-        if self.k == 1:
-            return a
-        code = 0
-        for d in reversed(a):
-            code = code * self.p + d
-        return code
-
-    def raw_from_code(self, code: int):
-        if self.k == 1:
-            return code % self.p
-        digits = []
-        for _ in range(self.k):
-            digits.append(code % self.p)
-            code //= self.p
-        return tuple(digits)
+        return self.rfrobenius(a, -j)
 
     # -- element layer --------------------------------------------------------
 
@@ -338,11 +268,11 @@ class FieldContext:
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_raw)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_raw)
+        return FieldElement(self, 1)
 
     def element(self, value) -> "FieldElement":
         """Build an element from an int or a digit sequence."""
@@ -356,8 +286,8 @@ class FieldContext:
 
     def elements(self):
         """All field elements in code order (guarded exhaustive scan)."""
-        digits = accel.all_element_digits(self.p, self.k)
-        return [self.wrap(raw) for raw in self.array_to_raws(digits)]
+        planes = accel.all_element_planes(self.p, self.k)
+        return [self.wrap(raw) for raw in self.planes_to_raws(planes)]
 
     # numpy interop for the batch kernels
     @property
@@ -368,27 +298,24 @@ class FieldContext:
         return self._batch
 
     def red_array(self) -> np.ndarray:
-        if self.k == 1:
-            return np.zeros((0, 1), dtype=np.int64)
-        return np.array(self._red, dtype=np.int64)
+        return np.array(self._red, dtype=np.int64).reshape(-1, self.k)
 
-    def root_codes(self, coeffs: np.ndarray) -> np.ndarray:
-        """Codes, ascending, of the elements where the polynomial with digit
-        rows coeffs ((d+1, k), by degree) vanishes (exhaustive guarded
+    def root_codes(self, coeffs) -> np.ndarray:
+        """Codes, ascending, of the elements where the polynomial with
+        coefficient raws coeffs (by degree) vanishes (exhaustive guarded
         scan)."""
         xs = accel.all_element_digits(self.p, self.k)
-        values = accel.poly_eval_batch(coeffs, xs, self.p, self.red_array())
+        values = accel.poly_eval_batch(self.raws_to_planes(coeffs).T, xs,
+                                       self.p, self.red_array())
         return np.flatnonzero(~values.any(axis=1))
 
-    def raws_to_array(self, raws) -> np.ndarray:
-        if self.k == 1:
-            return np.asarray(raws, dtype=np.int64)[:, None]
-        return np.array([tuple(r) for r in raws], dtype=np.int64).reshape(-1, self.k)
+    def raws_to_planes(self, raws) -> np.ndarray:
+        """Digit planes (k, n) of a sequence of n raws."""
+        return accel.code_planes(np.array(raws, dtype=np.int64), self.p, self.k)
 
-    def array_to_raws(self, arr: np.ndarray) -> list:
-        if self.k == 1:
-            return arr[:, 0].tolist()
-        return list(map(tuple, arr.tolist()))
+    def planes_to_raws(self, planes: np.ndarray) -> list[int]:
+        """The raws of digit planes (k, n), as a list."""
+        return self.batch.to_codes(planes).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +329,7 @@ class FieldElement:
 
     __slots__ = ("ctx", "raw")
 
-    def __init__(self, ctx: FieldContext, raw):
+    def __init__(self, ctx: FieldContext, raw: int):
         self.ctx = ctx
         self.raw = raw
 
@@ -412,10 +339,10 @@ class FieldElement:
 
     @property
     def code(self) -> int:
-        return self.ctx.raw_code(self.raw)
+        return self.raw
 
     def is_zero(self) -> bool:
-        return self.ctx.raw_is_zero(self.raw)
+        return self.raw == 0
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
@@ -485,7 +412,7 @@ class FieldElement:
     def __repr__(self):
         if self.ctx.k == 1:
             return f"{self.raw}"
-        return f"{list(self.raw)}"
+        return f"{list(self.digits)}"
 
 
 # ---------------------------------------------------------------------------
@@ -495,34 +422,29 @@ class FieldElement:
 class Embedding:
     """The canonical embedding F_{p^k0} -> F_{p^k} (k0 | k) sending the
     source generator to the root of the source modulus with the smallest
-    code in the destination field."""
+    code in the destination field.  From F_p, and onto the same field, it
+    is the identity on raws."""
 
     __slots__ = ("src", "dst", "gen_image", "_basis")
 
     def __init__(self, src: FieldContext, dst: FieldContext, gen_image):
         self.src = src
         self.dst = dst
-        self.gen_image = gen_image  # raw in dst (None when trivial)
-        if src.k == 1 or src == dst:
-            self._basis = None
-        else:
-            basis = []
-            cur = dst.one_raw
-            for _ in range(src.k):
-                basis.append(dst.raw_digits(cur))
-                cur = dst.rmul(cur, gen_image)
+        self.gen_image = gen_image  # raw in dst (None when the identity)
+        self._basis = None
+        if gen_image is not None:
+            powers = [dst.one_raw]
+            for _ in range(src.k - 1):
+                powers.append(dst.rmul(powers[-1], gen_image))
             # rows indexed by dst digit position, columns by src power
-            self._basis = np.array(basis, dtype=np.int64).T
+            self._basis = dst.raws_to_planes(powers)
 
     def apply_raw(self, raw):
-        if self.src == self.dst:
+        if self.gen_image is None:
             return raw
-        if self.src.k == 1:
-            return self.dst.raw_from_int(raw)
         acc = self.dst.zero_raw
         for digit in reversed(self.src.raw_digits(raw)):
-            acc = self.dst.rmul(acc, self.gen_image)
-            acc = self.dst.radd(acc, self.dst.raw_from_int(digit))
+            acc = self.dst.radd(self.dst.rmul(acc, self.gen_image), digit)
         return acc
 
     def apply(self, elt: FieldElement) -> FieldElement:
@@ -533,17 +455,14 @@ class Embedding:
     def descend_raw(self, raw):
         """Inverse image of a destination raw; raises ValueError if the
         value does not lie in the embedded subfield."""
-        if self.src == self.dst:
+        if self.gen_image is None:
+            if raw >= self.src.order:
+                raise ValueError("value not in the embedded subfield")
             return raw
-        digits = list(self.dst.raw_digits(raw))
-        if self.src.k == 1:
-            if any(digits[1:]):
-                raise ValueError("value not in the prime subfield")
-            return digits[0]
         # the basis columns are independent, so the digits column is the
         # first dependent one exactly when the value lies in the subfield
         prime = make_field(self.dst.p)
-        aug = np.column_stack([self._basis, digits])[None]
+        aug = np.column_stack([self._basis, self.dst.raw_digits(raw)])[None]
         try:
             _, sol = prime.batch.first_dependency(
                 aug, lambda d: np.array([prime.rinv(int(d[0]))]))
@@ -566,11 +485,8 @@ def embed(src: FieldContext, dst: FieldContext) -> Embedding:
         raise ContextMismatch(f"F_{src.p}^{src.k} does not embed in F_{dst.p}^{dst.k}")
     if src == dst or src.k == 1:
         return Embedding(src, dst, None)
-    # root-scan the source modulus over the destination field
-    coeffs = np.zeros((src.k + 1, dst.k), dtype=np.int64)
-    coeffs[:, 0] = src.modulus
-    root_codes = dst.root_codes(coeffs)
+    # root-scan the source modulus, whose F_p coefficients are dst raws too
+    root_codes = dst.root_codes(src.modulus)
     if root_codes.size == 0:
         raise RuntimeError("modulus has no root in the destination field")
-    gen_image = dst.raw_from_code(int(root_codes[0]))
-    return Embedding(src, dst, gen_image)
+    return Embedding(src, dst, int(root_codes[0]))

@@ -1,12 +1,13 @@
 """Univariate polynomials and reduced rational functions over a field
 context: the coordinate language for isogeny maps.
 
-Polynomials are dense little-endian coefficient tuples of context raws with
-no trailing zeros (the zero polynomial is the empty tuple).  Rational
-functions are always stored reduced with a monic denominator, so equality
-of coordinate maps is plain representational equality.  Root-finding is an
-exhaustive guarded scan, deliberately: test fields are tiny, and the scan
-doubles as an independent oracle against algebraic shortcuts.
+Polynomials are dense little-endian coefficient tuples of context raws
+(element codes, see ``ff``) with no trailing zeros (the zero polynomial is
+the empty tuple).  Rational functions are always stored reduced with a
+monic denominator, so equality of coordinate maps is plain
+representational equality.  Root-finding is an exhaustive guarded scan,
+deliberately: test fields are tiny, and the scan doubles as an independent
+oracle against algebraic shortcuts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class Poly:
 
     def __init__(self, ctx: ff.FieldContext, raws=()):
         coeffs = list(raws)
-        while coeffs and ctx.raw_is_zero(coeffs[-1]):
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.ctx = ctx
         self._c = tuple(coeffs)
@@ -35,11 +36,7 @@ class Poly:
 
     @classmethod
     def from_elements(cls, ctx, elts) -> "Poly":
-        raws = []
-        for e in elts:
-            e = ctx.element(e)
-            raws.append(e.raw)
-        return cls(ctx, raws)
+        return cls(ctx, [ctx.element(e).raw for e in elts])
 
     @classmethod
     def zero(cls, ctx) -> "Poly":
@@ -126,16 +123,16 @@ class Poly:
                     for j, bj in enumerate(b):
                         out[i + j] += ai * bj
             return Poly(ctx, [v % p for v in out])
-        out = [ctx.zero_raw] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if not ctx.raw_is_zero(ai):
+            if ai:
                 for j, bj in enumerate(b):
                     out[i + j] = ctx.radd(out[i + j], ctx.rmul(ai, bj))
         return Poly(ctx, out)
 
     def scale(self, raw) -> "Poly":
         ctx = self.ctx
-        if ctx.raw_is_zero(raw):
+        if raw == 0:
             return Poly(ctx, ())
         return Poly(ctx, [ctx.rmul(c, raw) for c in self._c])
 
@@ -165,7 +162,7 @@ class Poly:
         bc = other._c
         for shift in range(len(rem) - d - 1, -1, -1):
             top = rem[shift + d]
-            if ctx.raw_is_zero(top):
+            if top == 0:
                 continue
             factor = ctx.rmul(top, inv_lead)
             quo[shift] = factor
@@ -222,7 +219,7 @@ class Poly:
             return "0"
         parts = []
         for i, c in enumerate(self._c):
-            if self.ctx.raw_is_zero(c):
+            if c == 0:
                 continue
             cs = repr(self.ctx.wrap(c))
             parts.append(cs if i == 0 else (f"{cs}*x^{i}" if i > 1 else f"{cs}*x"))
@@ -230,10 +227,7 @@ class Poly:
 
     def digit_matrix(self) -> np.ndarray:
         """(deg+1, k) int64 digit rows for the batch kernels."""
-        ctx = self.ctx
-        if self.is_zero():
-            return np.zeros((0, ctx.k), dtype=np.int64)
-        return ctx.raws_to_array(list(self._c))
+        return self.ctx.raws_to_planes(self._c).T
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -256,7 +250,7 @@ def pth_power_root(f: Poly) -> Poly:
     for i, c in enumerate(f.coeffs):
         if i % p == 0:
             out.append(ctx.rpth_root(c))
-        elif not ctx.raw_is_zero(c):
+        elif c != 0:
             raise ValueError("not a polynomial in x^p")
     return Poly(ctx, out)
 
@@ -304,8 +298,7 @@ def roots_bruteforce(f: Poly, ctx: ff.FieldContext | None = None) -> list[ff.Fie
     ctx = f.ctx
     if f.degree < 1:
         return []
-    return [ctx.wrap(ctx.raw_from_code(int(c)))
-            for c in ctx.root_codes(f.digit_matrix())]
+    return [ctx.wrap(c) for c in ctx.root_codes(f.coeffs).tolist()]
 
 
 def lagrange_interpolate(ctx: ff.FieldContext, xs: list, ys: list) -> Poly:
@@ -318,7 +311,7 @@ def lagrange_interpolate(ctx: ff.FieldContext, xs: list, ys: list) -> Poly:
     dfull = full.derivative()
     result = Poly.zero(ctx)
     for x0, y0 in zip(xs, ys):
-        if ctx.raw_is_zero(y0):
+        if y0 == 0:
             continue
         basis = full // Poly(ctx, (ctx.rneg(x0), ctx.one_raw))
         weight = ctx.rmul(y0, ctx.rinv(dfull.eval_raw(x0)))
@@ -444,7 +437,7 @@ class RatFunc:
             for i in range(deg, -1, -1):
                 acc = acc * n
                 c = poly.coeff(i)
-                if not self.ctx.raw_is_zero(c):
+                if c != 0:
                     acc = acc + (d ** (deg - i)).scale(c)
             return acc
 
@@ -455,7 +448,7 @@ class RatFunc:
     def eval_raw(self, x):
         """Value at a raw point, or None at a pole."""
         dv = self.den.eval_raw(x)
-        if self.ctx.raw_is_zero(dv):
+        if dv == 0:
             return None
         return self.ctx.rmul(self.num.eval_raw(x), self.ctx.rinv(dv))
 

@@ -324,10 +324,10 @@ def test_certificate_values_must_have_json_types(tmp_path, capsys, cert_obj,
     assert json.loads(err)["error"] == "ParseError"  # one JSON object
 
 
-@pytest.mark.parametrize("claim", ["m", "mul_map"])
+@pytest.mark.parametrize("claim", ["m", "mul_map", "verified"])
 def test_verify_cert_checks_m_and_mul_map(tmp_path, capsys, cert_obj, claim):
     cert = json.loads(json.dumps(cert_obj))
-    cert[claim] = -1 if claim == "m" else cert["phi"]
+    cert[claim] = {"m": -1, "mul_map": cert["phi"], "verified": False}[claim]
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(cert))
     code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
@@ -344,6 +344,24 @@ def test_verify_batch_names_the_entry_with_a_wrong_m(tmp_path, capsys,
     code, out, err = run_cli(capsys, "verify", "--batch", str(batch))
     assert code == 1 and not out
     assert "[1]" in json.loads(err)["message"]
+
+
+def test_verify_batch_counts_an_entry_that_raises_as_failed(tmp_path, capsys,
+                                                           cert_obj):
+    code, out, _ = run_cli(capsys, "dual", "--p", "7", "--a", "1", "--b", "3",
+                           "--kernel-poly", "3,1,0,1")
+    assert code == 0
+    unchained = json.loads(json.dumps(cert_obj))
+    unchained["dual"] = json.loads(out)["dual"]  # a dual over F_7
+    unverified = json.loads(json.dumps(cert_obj))
+    unverified["verified"] = False
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([cert_obj, unverified, cert_obj, unchained]))
+    code, out, err = run_cli(capsys, "verify", "--batch", str(batch))
+    assert code == 1 and not out
+    assert json.loads(err) == {
+        "error": "IsodualError",
+        "message": "certificate check failed for entries [1, 3]"}
 
 
 def test_error_message_is_the_same_in_every_process():

@@ -29,13 +29,30 @@ def test_prime_field_context():
     assert F5.element(2).inverse() == F5.element(3)
 
 
+# the modulus of F_{p^k} for p in {5, 7, 11, 13, 31} and every k >= 2 with
+# p^k <= 10^6, pinned because element codes and serialised data depend on it
+FROZEN_MODULI = {
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1), (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1), (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1), (7, 6): (2, 0, 0, 0, 0, 0, 1),
+    (7, 7): (1, 6, 0, 0, 0, 0, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1), (11, 4): (2, 1, 0, 0, 1),
+    (11, 5): (2, 0, 0, 0, 0, 1),
+    (13, 2): (2, 0, 1), (13, 3): (2, 0, 0, 1), (13, 4): (2, 0, 0, 0, 1),
+    (13, 5): (2, 4, 0, 0, 0, 1),
+    (31, 2): (1, 0, 1), (31, 3): (3, 0, 0, 1), (31, 4): (1, 1, 0, 0, 1),
+}
+
+
 def test_extension_modulus_is_smallest_irreducible():
     for p in (5, 7, 11, 13):
         for k in (2, 3):
             ctx = make_field(p, k)
             assert ctx.modulus == brute_irreducible_scan(p, k)
-    # frozen value for the F_25 fixture: x^2 + 2
-    assert make_field(5, 2).modulus == (2, 0, 1)
+    for (p, k), modulus in FROZEN_MODULI.items():
+        assert make_field(p, k).modulus == modulus
 
 
 def test_construction_errors():
@@ -72,7 +89,7 @@ def test_field_axioms_exhaustive_f25():
 
 
 def test_inverses():
-    for p, k in [(5, 1), (5, 2), (11, 2)]:
+    for p, k in [(5, 1), (5, 2), (11, 2), (5, 4), (7, 3), (13, 2)]:
         ctx = make_field(p, k)
         for a in ctx.elements():
             if a.is_zero():
@@ -156,17 +173,19 @@ def test_digit_serialization():
     assert make_field(5).element(3).digits == (3,)
     e = make_field(5, 2).element([2, 1])  # generator + 2
     assert e.digits == (2, 1)
-    assert e.code == 2 + 1 * 5
+    assert e.code == e.raw == 2 + 1 * 5
 
 
 def test_embedding_roundtrip_and_morphism():
     src = make_field(5)
     dst = make_field(5, 2)
     emb = embed(src, dst)
+    top = make_field(5, 4)
     for a in src.elements():
         up = emb.apply(a)
         assert emb.descend(up) == a
-    top = make_field(5, 4)
+        # a prime-field element keeps its raw in every extension
+        assert up.raw == embed(src, top).apply(a).raw == a.raw
     emb2 = embed(dst, top)
     elems = dst.elements()
     for a in elems:
@@ -184,6 +203,8 @@ def test_embedding_descend_rejects_outsiders():
     gen = dst.element([0, 1])
     with pytest.raises(ValueError):
         emb.descend(gen)
+    with pytest.raises(ValueError):
+        emb.descend_raw(5)  # the code of the generator: a raw >= p
     # a generator of F_{5^4} has degree 4, so it lies outside F_{5^2}
     with pytest.raises(ValueError, match="not in the embedded subfield"):
         embed(dst, make_field(5, 4)).descend(make_field(5, 4).element([0, 1]))
