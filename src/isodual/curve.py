@@ -402,11 +402,14 @@ def subgroup_from_points(points, base_curve: Curve | None = None) -> Subgroup:
     pts = set(points)
     if ambient.infinity() not in pts:
         raise NotClosed("the identity O is missing")
-    for P in pts:
+    # in sort_key order, so a NotClosed message names the same pair
+    # whatever the hashes of the points
+    ordered = sorted(pts, key=Point.sort_key)
+    for P in ordered:
         if -P not in pts:
             raise NotClosed(f"negation of {P!r} is missing")
-    for P in pts:
-        for Q in pts:
+    for P in ordered:
+        for Q in ordered:
             if point_add(P, Q) not in pts:
                 raise NotClosed(f"{P!r} + {Q!r} escapes the point list")
     base = _resolve_base(ambient, base_curve)

@@ -80,7 +80,7 @@ def separable_decompose(phi: IsogenyMap) -> Decomposition:
     r, s = phi.r, phi.s
     n = 0
     f_half = RatFunc.of(phi.domain.f_poly() ** ((p - 1) // 2))
-    while r.derivative().is_zero():
+    while r.derivative_num().is_zero():
         if ctx.k != 1:
             raise UnsupportedBaseField(
                 "inseparable maps are only decomposed over prime-field curves")
@@ -96,14 +96,18 @@ def separable_decompose(phi: IsogenyMap) -> Decomposition:
 
 
 def pullback_constant(phi: IsogenyMap) -> ff.FieldElement:
-    """The constant c with phi^*(omega') = c * omega, i.e. r'(x)/s(x)."""
-    dr = phi.r.derivative()
+    """The constant c with phi^*(omega') = c * omega, i.e. r'(x)/s(x).
+
+    With r = n/d, r' = (n'd - nd')/d^2, so c is the quotient of
+    (n'd - nd') den(s) by d^2 num(s), which must leave no remainder."""
+    dr = phi.r.derivative_num()
     if dr.is_zero():
         raise InseparableMap("pullback of the invariant differential vanishes")
-    c = (dr / phi.s).constant_value()
-    if c is None:
+    d = phi.r.den
+    c, rem = divmod(dr * phi.s.den, d * d * phi.s.num)
+    if c.degree != 0 or not rem.is_zero():
         raise NonConstantRatio("r'/s did not reduce to a constant (corrupt map)")
-    return c
+    return phi.domain.ctx.wrap(c.leading)
 
 
 def normalize(phi: IsogenyMap) -> tuple[Isomorphism, IsogenyMap]:

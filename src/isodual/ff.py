@@ -248,8 +248,9 @@ class FieldContext:
         while n:
             if n & 1:
                 result = self.rmul(result, base)
-            base = self.rmul(base, base)
             n >>= 1
+            if n:
+                base = self.rmul(base, base)
         return result
 
     def rfrobenius(self, a, j: int = 1):

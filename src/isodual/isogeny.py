@@ -69,7 +69,7 @@ class IsogenyMap:
         return squarefree_part(self.r.den)
 
     def is_separable(self) -> bool:
-        return not self.r.derivative().is_zero()
+        return not self.r.derivative_num().is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, IsogenyMap) and self.domain == other.domain

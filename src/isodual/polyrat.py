@@ -8,6 +8,19 @@ monic denominator, so equality of coordinate maps is plain
 representational equality.  Root-finding is an exhaustive guarded scan,
 deliberately: test fields are tiny, and the scan doubles as an independent
 oracle against algebraic shortcuts.
+
+Over a prime field (k = 1) raws are residues mod p, and products and
+division run as integer array code (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 8 and 11): a product is one ``np.convolve`` on
+int64, and division takes one vectorised row step per quotient
+coefficient.  Below a measured size crossover (``MUL_ARRAY_TERMS``,
+``DIVMOD_ARRAY_LEN``) numpy's per-call cost outweighs the work, and the
+same steps run as an inline loop on Python ints.  int64 is exact while
+min(len) * (p-1)^2 stays below ``accel.PRODUCT_GUARD`` (2^62): each sum
+adds at most min(len) products of residues.  Beyond that bound, which only
+primes near 2^31 reach, the Python-int loop runs at every size, so the
+library still accepts p up to 2^31 - 1.  Extension fields keep the
+scalar ``ff`` arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +28,63 @@ from __future__ import annotations
 import numpy as np
 
 from . import ff
+from .accel import PRODUCT_GUARD
 from .errors import BothZero, ContextMismatch, DivisionByZero
+
+MUL_ARRAY_TERMS = 48
+"""Fewest products len(a) * len(b) at which an F_p product is np.convolve."""
+
+DIVMOD_ARRAY_LEN = 40
+"""Shortest divisor length from which F_p division steps on int64 arrays."""
+
+
+def _int64_exact(a, b, p: int) -> bool:
+    """Whether sums of min(len) products of residues mod p, plus one more
+    residue, stay below PRODUCT_GUARD, and so exact in int64."""
+    return min(len(a), len(b)) * (p - 1) ** 2 < PRODUCT_GUARD
+
+
+def _mul_mod_p(a, b, p: int) -> list:
+    """Coefficients of a * b over F_p (residue lists, both nonempty)."""
+    if len(a) * len(b) >= MUL_ARRAY_TERMS and _int64_exact(a, b, p):
+        return (np.convolve(np.array(a, dtype=np.int64),
+                            np.array(b, dtype=np.int64)) % p).tolist()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [v % p for v in out]
+
+
+def _divmod_mod_p(a, b, p: int) -> tuple[list, list]:
+    """Quotient and remainder coefficients of a by b over F_p, for
+    len(a) >= len(b) and b with a nonzero leading residue.
+
+    One row step per quotient coefficient: the remainder is reduced mod p
+    only where the next quotient coefficient is read and at the end, so an
+    entry takes at most min(len) subtractions of a product below p^2."""
+    d = len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    quo = [0] * (len(a) - d)
+    if len(b) >= DIVMOD_ARRAY_LEN and _int64_exact(a, b, p):
+        rem = np.array(a, dtype=np.int64)
+        low = np.array(b[:d], dtype=np.int64)
+        for shift in range(len(quo) - 1, -1, -1):
+            top = rem.item(shift + d) % p
+            if top:
+                quo[shift] = factor = top * inv_lead % p
+                rem[shift:shift + d] -= factor * low
+        return quo, (rem[:d] % p).tolist()
+    rem = list(a)
+    low = b[:d]
+    for shift in range(len(quo) - 1, -1, -1):
+        top = rem[shift + d] % p
+        if top:
+            quo[shift] = factor = top * inv_lead % p
+            rem[shift:shift + d] = [r - factor * c
+                                    for r, c in zip(rem[shift:shift + d], low)]
+    return quo, [v % p for v in rem[:d]]
 
 
 class Poly:
@@ -116,13 +185,7 @@ class Poly:
         if not a or not b:
             return Poly(ctx, ())
         if ctx.k == 1:
-            p = ctx.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Poly(ctx, [v % p for v in out])
+            return Poly(ctx, _mul_mod_p(a, b, ctx.p))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -144,8 +207,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -155,6 +219,9 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         if self.degree < other.degree:
             return Poly(ctx, ()), self
+        if ctx.k == 1:
+            quo, rem = _divmod_mod_p(self._c, other._c, ctx.p)
+            return Poly(ctx, quo), Poly(ctx, rem)
         inv_lead = ctx.rinv(other.leading)
         rem = list(self._c)
         d = other.degree
@@ -414,36 +481,56 @@ class RatFunc:
     def __pow__(self, e: int) -> "RatFunc":
         if e < 0:
             return (RatFunc.of(Poly.one(self.ctx)) / self) ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
+        # powers of a coprime pair are coprime, of a monic den monic
+        return RatFunc(self.num ** e, self.den ** e, _reduced=True)
 
     def scale(self, raw) -> "RatFunc":
-        return RatFunc(self.num.scale(raw), self.den, _reduced=False)
+        if raw == 0:
+            return RatFunc.of(Poly.zero(self.ctx))
+        return RatFunc(self.num.scale(raw), self.den, _reduced=True)
+
+    def derivative_num(self) -> Poly:
+        """n'd - nd' for self = n/d: the derivative is this over d^2, and
+        it is zero exactly when the derivative is."""
+        n, d = self.num, self.den
+        return n.derivative() * d - n * d.derivative()
 
     def derivative(self) -> "RatFunc":
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
+        return RatFunc(self.derivative_num(), self.den * self.den)
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
-        """self(inner(x)), reduced."""
+        """self(inner(x)), reduced without a gcd.
+
+        With self = P/Q and inner = n/d, both coprime pairs, and top =
+        max(deg P, deg Q), the result is A/B with A = sum_i p_i n^i d^(top-i)
+        and B likewise from Q.  A and B are coprime: at a common root where
+        d vanishes, n does not, and A, B reduce to p_top n^top, q_top n^top,
+        not both zero; at any other common root, P and Q would share the
+        root n/d.  So only B's leading coefficient is left to divide out.
+        """
         if self.ctx != inner.ctx:
             raise ContextMismatch("composition over mixed contexts")
         n, d = inner.num, inner.den
-        dn, dd = self.num.degree, self.den.degree
-        top = max(dn, dd)
+        top = max(self.num.degree, self.den.degree)
+        d_pows = [Poly.one(self.ctx)]
+        for _ in range(top):
+            d_pows.append(d_pows[-1] * d)
 
-        def expand(poly: Poly, deg: int) -> Poly:
-            # sum_i c_i n^i d^(deg - i), computed Horner-style in n
+        def expand(poly: Poly) -> Poly:
+            # sum_i c_i n^i d^(top - i), computed Horner-style in n
             acc = Poly.zero(self.ctx)
-            for i in range(deg, -1, -1):
+            for i in range(top, -1, -1):
                 acc = acc * n
                 c = poly.coeff(i)
                 if c != 0:
-                    acc = acc + (d ** (deg - i)).scale(c)
+                    acc = acc + d_pows[top - i].scale(c)
             return acc
 
-        a = expand(self.num, top)
-        b = expand(self.den, top)
-        return RatFunc(a, b)
+        a, b = expand(self.num), expand(self.den)
+        if a.is_zero() or b.is_zero():  # a constant inner value, or a pole
+            return RatFunc(a, b)
+        inv = self.ctx.rinv(b.leading)
+        return RatFunc(a.scale(inv), b.scale(inv), _reduced=True)
 
     def eval_raw(self, x):
         """Value at a raw point, or None at a pole."""

@@ -378,6 +378,19 @@ def test_error_message_is_the_same_in_every_process():
     assert json.loads(errs.pop())["error"] == "NotClosed"
 
 
+def test_not_closed_names_the_first_pair_in_point_order():
+    # the points are O, P = ([3, 2], [3, 1]) and -P, and 2P is none of
+    # them; walking them in sort_key order, P + P is the first sum to escape
+    argv = [sys.executable, "-m", "isodual.cli", "velu", "--p", "5", "--k", "2",
+            "--a", "0,1", "--b", "1", "--kernel-points", "3,2;3,1", "3,2;2,4"]
+    for _ in range(2):
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {
+            "error": "NotClosed",
+            "message": "([3, 2], [3, 1]) + ([3, 2], [3, 1]) escapes the point list"}
+
+
 def test_hashes_are_the_same_in_every_process():
     code = ("import isodual as iso; E = iso.Curve(iso.make_field(7), 1, 1); "
             "print(hash(iso.make_field(7)), hash(E.infinity()))")

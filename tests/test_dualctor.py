@@ -7,10 +7,11 @@ from isodual import ff
 from isodual.dualctor import _pointwise_dual_check, _pushforward_kernel_poly
 from isodual.errors import (CompositionMismatch, FieldTooLarge,
                             InseparableMap, IsodualError, KernelNotNested,
-                            NotNormalized, UnsupportedBaseField)
+                            NonConstantRatio, NotNormalized,
+                            UnsupportedBaseField)
 from isodual.ff import make_field
-from isodual.polyrat import (Poly, embed_poly, lagrange_interpolate, resultant,
-                             squarefree_part)
+from isodual.polyrat import (Poly, RatFunc, embed_poly, lagrange_interpolate,
+                             resultant, squarefree_part)
 from conftest import cyclic_subgroups, find_curves_by_trace, nonsingular_curves
 
 F5 = make_field(5)
@@ -94,6 +95,25 @@ def test_pullback_constants(e_f5, deg2):
         assert iso.pullback_constant(iso.mul_by_m_map(e_f5, m)) == F5.element(m)
     with pytest.raises(InseparableMap):
         iso.pullback_constant(iso.frobenius_isogeny(e_f5, 1))
+
+
+def test_pullback_constant_refuses_a_non_constant_ratio(e_f5, deg2):
+    # r'/s = c/x once s is multiplied by x: the division leaves a remainder
+    x = RatFunc.x(F5)
+    for phi in (deg2[2], iso.mul_by_m_map(e_f5, 3)):
+        bent = iso.IsogenyMap(phi.domain, phi.codomain, phi.r, phi.s * x,
+                              phi.degree, check=False)
+        with pytest.raises(NonConstantRatio):
+            iso.pullback_constant(bent)
+
+
+def test_is_separable_is_false_after_frobenius(e_f5, deg2):
+    phi = deg2[2]
+    for n in (1, 2):
+        pi = iso.frobenius_isogeny(e_f5, n)
+        assert not pi.is_separable()
+        assert not iso.iso_compose(phi, pi).is_separable()
+    assert phi.is_separable()
 
 
 def test_velu_outputs_are_normalized():

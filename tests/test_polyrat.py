@@ -9,6 +9,7 @@ from isodual.errors import BothZero, DivisionByZero, FieldTooLarge
 from isodual.ff import make_field
 from isodual.polyrat import (Poly, RatFunc, lagrange_interpolate, poly_gcd,
                              resultant, roots_bruteforce, squarefree_part)
+from conftest import cyclic_subgroups, nonsingular_curves
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -43,6 +44,70 @@ def test_divmod_property(fc, gc):
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.is_zero() or r.degree < g.degree
+
+
+# -- the prime-field kernel against plain-int schoolbook references -----------
+
+# 2^31 - 1 takes the Python-int fallback: (p-1)^2 alone is close to 2^62
+KERNEL_PRIMES = (5, 37, 1000003, 2 ** 31 - 1)
+# lengths on both sides of the array crossovers, with zero and constants
+KERNEL_LENGTHS = st.one_of(st.integers(0, 3), st.integers(0, 240))
+
+
+def _ref_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b, p):
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], p - 2, p)
+    for s in range(len(quo) - 1, -1, -1):
+        quo[s] = f = rem[s + len(b) - 1] * inv % p
+        for i, y in enumerate(b):
+            rem[s + i] = (rem[s + i] - f * y) % p
+    return _ref_trim(quo), _ref_trim(rem)
+
+
+def _ref_gcd(a, b, p):
+    while b:
+        a, b = b, _ref_divmod(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [x * inv % p for x in a]
+
+
+@given(st.sampled_from(KERNEL_PRIMES), KERNEL_LENGTHS, KERNEL_LENGTHS,
+       st.integers(0, 60), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_prime_field_kernel_matches_schoolbook(p, la, lb, lc, rng):
+    def coeffs(n):  # n residues with a nonzero leading one
+        if not n:
+            return []
+        return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+
+    a, b = coeffs(la), coeffs(lb)
+    common = coeffs(lc)  # so that most gcds are not trivial
+    if a and b and common:
+        a, b = _ref_mul(a, common, p), _ref_mul(b, common, p)
+    F = make_field(p)
+    A, B = Poly(F, a), Poly(F, b)
+    assert list((A * B).coeffs) == _ref_mul(a, b, p)
+    if b:
+        q, r = divmod(A, B)
+        assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(a, b, p)
+    if a or b:
+        assert list(poly_gcd(A, B).coeffs) == _ref_gcd(a, b, p)
 
 
 def test_gcd_examples():
@@ -122,6 +187,48 @@ def test_ratfunc_canonical_form():
     assert RatFunc.x(F5).constant_value() is None
     with pytest.raises(DivisionByZero):
         RatFunc(P5(1), Poly.zero(F5))
+
+
+def _compose_by_gcd(f, g):
+    """f(g(x)) as the gcd-reduced quotient of the two expansions."""
+    top = max(f.num.degree, f.den.degree)
+
+    def expand(poly):
+        acc = Poly.zero(poly.ctx)
+        for i in range(top + 1):
+            term = g.num ** i * g.den ** (top - i)
+            acc = acc + term.scale(poly.coeff(i))
+        return acc
+
+    return RatFunc(expand(f.num), expand(f.den))
+
+
+def test_ratfunc_pow_scale_and_compose_equal_the_reduced_construction():
+    # none of them takes a gcd: powers of a coprime pair stay coprime,
+    # scaling by a nonzero constant keeps the pair reduced, and composing
+    # coprime pairs gives a coprime pair
+    E = nonsingular_curves(7, 3)[2]
+    G = cyclic_subgroups(E, (2, 3, 4, 5))[0]
+    maps = [iso.mul_by_m_map(E, 3), iso.velu_isogeny(E, G),
+            iso.iso_compose(iso.velu_isogeny(E, G), iso.frobenius_isogeny(E, 1))]
+    funcs = [g for phi in maps for g in (phi.r, phi.s)]
+    for f in funcs:
+        for e in range(4):
+            assert f ** e == RatFunc(f.num ** e, f.den ** e)
+        for c in range(1, 7):
+            assert f.scale(c) == RatFunc(f.num.scale(c), f.den)
+        assert f.scale(0) == RatFunc(Poly.zero(F7), f.den)
+        assert f.scale(0).den == Poly.one(F7)
+    constants = [RatFunc.constant(F7, c) for c in range(7)]
+    for f in funcs + constants:
+        for g in [phi.r for phi in maps] + constants:
+            try:
+                expected = _compose_by_gcd(f, g)
+            except DivisionByZero:  # g's constant value is a pole of f
+                with pytest.raises(DivisionByZero):
+                    f.compose(g)
+                continue
+            assert f.compose(g) == expected
 
 
 def test_ratfunc_compose_examples():
