@@ -10,9 +10,9 @@ pointwise dual check:
 * the batch chord-tangent group law that computes [m]P for every point of
   a curve at once (``curve.batch_scalar_mul``), built on the same
   multiplication and table inverse;
-* linear algebra over the base field for the quotient construction: the
-  matrix of multiplication by an element of F[x]/(W) and Gauss-Jordan
-  elimination (``BatchField.mulmod_matrix``, ``BatchField.first_dependency``).
+* Gauss-Jordan elimination for the first dependent column of a matrix
+  (``BatchField.first_dependency``): the minimal polynomial of an element of
+  F[x]/(W) for the quotient construction, and subfield descent.
 
 ``BatchField`` holds that arithmetic.  A batch of n elements of F_{p^k} is
 held as digit planes: an int64 array of shape (k, n) whose row i holds
@@ -118,25 +118,11 @@ class BatchField:
                 base = self.mul(base, base)
         return table
 
-    def mulmod_matrix(self, v: np.ndarray, w_low: np.ndarray) -> np.ndarray:
-        """The matrix (k, w, w) of multiplication by v on F[x]/(W), for W
-        monic of degree w with coefficients w_low (k, w) below x^w, and v
-        (k, w) reduced mod W.  Column j is x^j v mod W, from the shift
-        c_{j+1} = x c_j - lead(c_j) W."""
-        k, w = v.shape
-        out = np.empty((k, w, w), dtype=np.int64)
-        c = v
-        for j in range(w):
-            out[:, :, j] = c
-            shifted = np.zeros_like(c)
-            shifted[:, 1:] = c[:, :-1]
-            c = (shifted - self.mul(c[:, -1:], w_low)) % self.p
-        return out
-
     def first_dependency(self, a: np.ndarray, inverse) -> tuple[int, np.ndarray]:
-        """The first column of the matrix a (k, rows, cols), cols > rows,
-        that is a combination of the columns before it: its index t and the
-        coefficients c (k, t) with column t = sum_i c_i column i.
+        """The first column of the matrix a (k, rows, cols) that is a
+        combination of the columns before it, which exists if cols > rows:
+        its index t and the coefficients c (k, t) with column t = sum_i c_i
+        column i.  ValueError when there is none.
 
         Gauss-Jordan elimination, one vectorised step per pivot column; the
         pivot of column i lands in row i.  inverse maps the digits (k,) of

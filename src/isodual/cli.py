@@ -30,7 +30,6 @@ from .ff import make_field
 from .isogeny import iso_eval, velu_isogeny
 from .polyrat import Poly, roots_bruteforce
 
-KERNEL_GUARD = 50
 POLY_SPLIT_DEGREES = (1, 2, 3, 4)
 
 
@@ -104,22 +103,39 @@ def _resolve_kernel(E: Curve, args):
     if len(given) != 1:
         raise ParseError(
             "specify exactly one of --kernel-gen, --kernel-poly, --kernel-points")
+    # refused before the subgroup is built when its order must exceed the cap
     if args.kernel_gen:
-        G = subgroup_from_generator(_parse_point(E, args.kernel_gen, "--kernel-gen"))
+        P = _parse_point(E, args.kernel_gen, "--kernel-gen")
+        R, n = P, 1
+        while not R.is_infinity and n <= MUL_MAP_CAP:
+            R, n = R + P, n + 1
+        if n > MUL_MAP_CAP:
+            raise _kernel_too_large("the order of the kernel generator")
+        G = subgroup_from_generator(P)
     elif args.kernel_points:
         pts = [_parse_point(E, t, "--kernel-points") for t in args.kernel_points]
         if E.infinity() not in pts:
             pts.append(E.infinity())
+        if len(set(pts)) > MUL_MAP_CAP:
+            raise _kernel_too_large(f"a kernel of {len(set(pts))} points")
         G = subgroup_from_points(pts)
     else:
         sep = ";" if E.ctx.k > 1 else ","
         coeffs = [_parse_element(E.ctx, c, "--kernel-poly coefficient")
                   for c in args.kernel_poly.split(sep)]
-        G = _subgroup_from_kernel_poly(E, Poly(E.ctx, [c.raw for c in coeffs]))
-    if G.order > KERNEL_GUARD:
-        raise ParseError(
-            f"kernel order {G.order} exceeds {KERNEL_GUARD}: this is a desk-scale tool")
+        kp = Poly(E.ctx, [c.raw for c in coeffs])
+        # order n gives degree (n - 1 + e2) / 2, e2 = #(order-2 points) <= 3
+        if kp.degree > (MUL_MAP_CAP + 2) // 2:
+            raise _kernel_too_large(
+                f"the kernel order of a degree-{kp.degree} kernel polynomial")
+        G = _subgroup_from_kernel_poly(E, kp)
+    if G.order > MUL_MAP_CAP:
+        raise _kernel_too_large(f"kernel order {G.order}")
     return G
+
+
+def _kernel_too_large(what: str) -> ParseError:
+    return ParseError(f"{what} exceeds {MUL_MAP_CAP}: this is a desk-scale tool")
 
 
 def _load_json(path: str):
@@ -186,12 +202,7 @@ def _cmd_velu(args):
 
 def _cmd_dual(args):
     E = _build_curve(args)
-    G = _resolve_kernel(E, args)
-    if G.order > MUL_MAP_CAP:
-        raise ParseError(
-            f"dual: kernel order {G.order} exceeds {MUL_MAP_CAP}, the cap "
-            f"on [m] (MUL_MAP_CAP) that the dual pipeline builds")
-    phi = velu_isogeny(E, G)
+    phi = velu_isogeny(E, _resolve_kernel(E, args))
     cert = dual_isogeny(phi)
     return jsonio.certificate_to_obj(cert), _pretty_certificate(cert)
 

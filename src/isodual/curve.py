@@ -19,7 +19,7 @@ from .errors import (CurveMismatch, DegreeTooLarge, KernelNotRational,
                      ZeroMultiplier)
 from .polyrat import Poly, RatFunc, roots_bruteforce
 
-MUL_MAP_CAP = 12  # [m] has degree m^2; desk-scale cap
+MUL_MAP_CAP = 50  # desk-scale cap on |m| and on kernel orders: dual builds [n]
 
 
 class Curve:

@@ -29,13 +29,13 @@ from . import ff
 from .curve import (Curve, affine_points, batch_scalar_mul, embed_curve,
                     mul_by_m_map)
 from .errors import (CompositionMismatch, CurveChainMismatch, CurveMismatch,
-                     InseparableMap, IsodualError, KernelNotNested,
-                     NonConstantRatio, NotNormalized, UnsupportedBaseField,
-                     VerificationFailed)
+                     DivisionByZero, InseparableMap, IsodualError,
+                     KernelNotNested, NonConstantRatio, NotNormalized,
+                     UnsupportedBaseField, VerificationFailed)
 from .isogeny import (IsogenyMap, Isomorphism, frobenius_isogeny,
                       identity_isogeny, iso_compose, iso_equal,
                       iso_eval_point_batch, velu_from_kernel_polys)
-from .polyrat import Poly, RatFunc, poly_gcd, pth_power_root
+from .polyrat import Poly, RatFunc, inverse_mod, poly_gcd, pth_power_root
 
 
 @dataclass(frozen=True)
@@ -136,42 +136,35 @@ def _pushforward_kernel_poly(phin: IsogenyMap, W: Poly) -> Poly:
     irreducible factor of W.  The minimal polynomial of rho in that ring is
     the lcm of the minimal polynomials of its components, i.e. the product
     of the distinct irreducible polynomials vanishing at the values
-    rho(alpha), W(alpha) = 0: the monic radical of Res_x(W, n - Y d).  It is
-    found over the base field by linear algebra on digit planes: solve
-    (multiplication by d) rho = n, then row-reduce the Krylov vectors
-    1, rho, ..., rho^w (w = deg W); the first that depends on the ones
-    before it, rho^t = sum c_i rho^i, gives Y^t - sum c_i Y^i.  d is
-    invertible mod W exactly when no root of W is a pole of r; otherwise
-    CompositionMismatch is raised.
+    rho(alpha), W(alpha) = 0: the monic radical of Res_x(W, n - Y d)
+    (Kohel, PhD thesis, 1996).  d^-1 mod W exists exactly when no root of W
+    is a pole of r; otherwise CompositionMismatch is raised.  The powers
+    rho^i mod W are row-reduced on digit planes, and the first that depends
+    on the ones before it, rho^t = sum c_i rho^i, gives Y^t - sum c_i Y^i.
+    It comes by t = 2w // deg phin (w = deg W): above each root x(Q) lie the
+    deg phin points P + ker phin, Q = phin(P), outside ker phin, with at
+    least deg phin / 2 distinct x-coordinates, all roots of W.
     """
     ctx = phin.domain.ctx
-    F = ctx.batch
     w = W.degree
-
-    def planes(f: Poly) -> np.ndarray:
-        out = np.zeros((ctx.k, w), dtype=np.int64)
-        rows = (f % W).digit_matrix()
-        out[:, :rows.shape[0]] = rows.T
-        return out
 
     def inverse(digits: np.ndarray) -> np.ndarray:
         raw = ctx.rinv(ctx.raw_from_digits(digits.tolist()))
         return np.array(ctx.raw_digits(raw), dtype=np.int64)
 
-    w_low = W.digit_matrix()[:w].T
-    times_d = F.mulmod_matrix(planes(phin.r.den), w_low)
-    t, rho = F.first_dependency(
-        np.concatenate([times_d, planes(phin.r.num)[:, :, None]], axis=2),
-        inverse)
-    if t < w:
-        raise CompositionMismatch("den(r) is not invertible modulo W")
-    times_rho = F.mulmod_matrix(rho, w_low)
-    krylov = np.zeros((ctx.k, w, w + 1), dtype=np.int64)
-    krylov[0, 0, 0] = 1
-    for i in range(w):
-        krylov[:, :, i + 1] = F.mul(times_rho, krylov[:, None, :, i]).sum(
-            axis=2) % ctx.p
-    t, coeffs = F.first_dependency(krylov, inverse)
+    try:
+        rho = phin.r.num * inverse_mod(phin.r.den, W) % W
+    except DivisionByZero:
+        raise CompositionMismatch("den(r) is not invertible mod W") from None
+    powers = [Poly.one(ctx)]
+    for _ in range(min(w, 2 * w // phin.degree)):
+        powers.append(powers[-1] * rho % W)
+    krylov = np.stack([ctx.raws_to_planes((f.coeffs + (0,) * w)[:w])
+                       for f in powers], axis=2)
+    try:
+        _, coeffs = ctx.batch.first_dependency(krylov, inverse)
+    except ValueError:
+        raise CompositionMismatch("powers of rho stay independent") from None
     return Poly(ctx, ctx.planes_to_raws(-coeffs % ctx.p) + [ctx.one_raw])
 
 

@@ -17,7 +17,7 @@ Design notes:
   the batch kernels of ``accel`` on digit planes, which ``raws_to_planes``
   and ``planes_to_raws`` convert to and from.
 * Polynomial arithmetic over F_p lives in ``polyrat`` alone; the modulus
-  search and the extension inverse borrow ``polyrat.Poly``.
+  search borrows ``polyrat.Poly``, the extension inverse ``inverse_mod``.
 """
 
 from __future__ import annotations
@@ -225,17 +225,11 @@ class FieldContext:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return pow(a, p - 2, p)
-        from .polyrat import Poly  # deferred: polyrat imports this module
+        from .polyrat import Poly, inverse_mod  # deferred: polyrat imports ff
 
-        # extended Euclid over F_p[t] against the modulus
         base = make_field(p)
-        r0, r1 = Poly(base, self.modulus), Poly(base, self.raw_digits(a))
-        s0, s1 = Poly.zero(base), Poly.one(base)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-        # r0 is a nonzero constant, since the modulus is irreducible
-        return self.raw_from_digits(s0.scale(base.rinv(r0.leading)).coeffs)
+        return self.raw_from_digits(inverse_mod(
+            Poly(base, self.raw_digits(a)), Poly(base, self.modulus)).coeffs)
 
     def rdiv(self, a, b):
         return self.rmul(a, self.rinv(b))

@@ -308,6 +308,21 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
+def inverse_mod(f: Poly, m: Poly) -> Poly:
+    """f^-1 modulo m, of degree below deg m, by the extended Euclidean
+    algorithm (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 3),
+    carrying only f's cofactor; DivisionByZero when gcd(f, m) != 1."""
+    ctx = m.ctx
+    r0, r1 = m, f % m
+    s0, s1 = Poly.zero(ctx), Poly.one(ctx)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    if r0.degree != 0:
+        raise DivisionByZero("not invertible: gcd(f, m) != 1")
+    return s0.scale(ctx.rinv(r0.leading))
+
+
 def pth_power_root(f: Poly) -> Poly:
     """g with g^p = f, for f a polynomial in x^p (freshman's dream plus
     coefficient p-th roots, which exist because the field is perfect)."""

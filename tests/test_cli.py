@@ -191,32 +191,59 @@ def test_math_errors_exit_1(capsys):
     assert json.loads(err)["error"] == "SingularCurve"
 
 
+def kernel_above_the_cap_args():
+    """velu/dual arguments for a generator of order > 50 over F_13^2."""
+    ctx = make_field(13, 2)
+    for code_ab in range(40):
+        try:
+            E = iso.Curve(ctx, ctx.element([code_ab % 13, code_ab // 13]), 1)
+        except iso.errors.SingularCurve:
+            continue
+        P = next((Q for Q in iso.enumerate_points(E)
+                  if iso.point_order(Q) > 50), None)
+        if P is not None:
+            gen = ",".join(str(d) for d in P.x.digits) + ";" + \
+                ",".join(str(d) for d in P.y.digits)
+            a_txt = ",".join(str(d) for d in E.a.digits)
+            return ("--p", "13", "--k", "2", "--a", a_txt, "--b", "1",
+                    "--kernel-gen", gen)
+    raise AssertionError("no point of order > 50 found")
+
+
 def test_desk_scale_guards(capsys):
     code, _, err = run_cli(capsys, "velu", "--p", "1000003", "--a", "1", "--b", "3",
                            "--kernel-poly", "0,1")
     assert code == 2
     assert "desk-scale" in json.loads(err)["message"]
-    # a kernel of order > 50: generator of a large cyclic piece over F_13^2
-    ctx = make_field(13, 2)
-    E = None
-    for code_ab in range(40):
-        try:
-            cand = iso.Curve(ctx, ctx.element([code_ab % 13, code_ab // 13]), 1)
-        except iso.errors.SingularCurve:
-            continue
-        P = next((Q for Q in iso.enumerate_points(cand)
-                  if iso.point_order(Q) > 50), None)
-        if P is not None:
-            E = cand
-            break
-    assert E is not None
-    gen = ",".join(str(d) for d in P.x.digits) + ";" + \
-        ",".join(str(d) for d in P.y.digits)
-    a_txt = ",".join(str(d) for d in E.a.digits)
-    code, _, err = run_cli(capsys, "velu", "--p", "13", "--k", "2",
-                           "--a", a_txt, "--b", "1", "--kernel-gen", gen)
+    # a kernel of order > 50
+    code, _, err = run_cli(capsys, "velu", *kernel_above_the_cap_args())
     assert code == 2
     assert "desk-scale" in json.loads(err)["message"]
+
+
+def test_kernel_order_guard_refuses_before_building_the_subgroup(capsys):
+    # each form of a kernel of order > 50 is refused at once: by at most 50
+    # multiples of the generator, by the number of points, and by the
+    # degree of the kernel polynomial
+    E = iso.Curve(make_field(1009), 1, 1)
+    points = iso.enumerate_points(E)[1:]
+    assert len(points) > 500
+    kp = iso.Poly.one(E.ctx)
+    for x in sorted({P.x.raw for P in points}):
+        kp = kp * iso.Poly(E.ctx, (E.ctx.rneg(x), 1))
+    curve = ("--p", "1009", "--a", "1", "--b", "1")
+    for args in (("--p", "31", "--k", "3", "--a", "2", "--b", "1",
+                  "--kernel-gen", "22,18,15;16,30,16"),  # order 5004
+                 curve + ("--kernel-points",)
+                 + tuple(f"{P.x.raw},{P.y.raw}" for P in points),
+                 curve + ("--kernel-poly",
+                          ",".join(str(c) for c in kp.coeffs))):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "velu", *args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        obj = json.loads(err)
+        assert obj["error"] == "ParseError" and "desk-scale" in obj["message"]
 
 
 @pytest.mark.parametrize("field", [
@@ -263,7 +290,7 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["degree"] == 9
 
 
-def test_dual_refuses_kernel_order_above_mul_map_cap(capsys):
+def test_dual_accepts_kernel_orders_up_to_the_cap(tmp_path, capsys):
     # a rational point of order 13..50 over F_13 or F_17
     for p in (13, 17):
         E = P = None
@@ -284,16 +311,17 @@ def test_dual_refuses_kernel_order_above_mul_map_cap(capsys):
         if E is not None:
             break
     assert E is not None
-    args = ("--p", str(p), "--a", str(E.a.digits[0]), "--b",
-            str(E.b.digits[0]), "--kernel-gen",
-            f"{P.x.digits[0]},{P.y.digits[0]}")
-    code, out, err = run_cli(capsys, "dual", *args)
+    cert_file = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "dual", "--p", str(p), "--a",
+                           str(E.a.digits[0]), "--b", str(E.b.digits[0]),
+                           "--kernel-gen", f"{P.x.digits[0]},{P.y.digits[0]}",
+                           "--out", str(cert_file))
+    assert code == 0 and json.loads(out)["m"] == iso.point_order(P)
+    code, out, _ = run_cli(capsys, "verify", "--cert", str(cert_file))
+    assert code == 0 and json.loads(out)["verified"] is True
+    code, out, err = run_cli(capsys, "dual", *kernel_above_the_cap_args())
     assert code == 2 and not out
-    obj = json.loads(err)
-    assert obj["error"] == "ParseError"
-    assert "12" in obj["message"] and "MUL_MAP_CAP" in obj["message"]
-    code, out, _ = run_cli(capsys, "velu", *args)  # velu allows order <= 50
-    assert code == 0 and json.loads(out)["degree"] == iso.point_order(P)
+    assert json.loads(err)["error"] == "ParseError"
 
 
 @pytest.fixture(scope="module")

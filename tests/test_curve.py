@@ -170,7 +170,7 @@ def test_mul_map_structure(e_f5):
     with pytest.raises(ZeroMultiplier):
         iso.mul_by_m_map(e_f5, 0)
     with pytest.raises(DegreeTooLarge):
-        iso.mul_by_m_map(e_f5, 13)
+        iso.mul_by_m_map(e_f5, 51)
 
 
 def test_mul_map_against_scalar_oracle(e_f5, e_f5_ss):

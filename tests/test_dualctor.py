@@ -4,7 +4,8 @@ import pytest
 
 import isodual as iso
 from isodual import ff
-from isodual.dualctor import _pointwise_dual_check, _pushforward_kernel_poly
+from isodual.dualctor import (_pointwise_dual_check, _pushforward_kernel_poly,
+                              verify_certificate)
 from isodual.errors import (CompositionMismatch, FieldTooLarge,
                             InseparableMap, IsodualError, KernelNotNested,
                             NonConstantRatio, NotNormalized,
@@ -354,6 +355,26 @@ def test_pushforward_refuses_a_pole_of_r_among_the_roots_of_w(deg2):
         _pushforward_kernel_poly(phi, W)
 
 
+@pytest.mark.parametrize("p, a, b, gen", [(13, 1, 0, (4, 4)),
+                                           (19, 0, 8, (2, 4))])
+def test_pushforward_degree_bound_is_tight(p, a, b, gen):
+    # ker psi = ker phi + E[2] with E[2] rational and deg phi = n odd, n >= 5:
+    # lam's kernel phi(E[2]) holds all three 2-torsion points, so deg T =
+    # (deg lam + 2) / 2 = 3 = 2 deg W // n, and the last Krylov power counts
+    E = iso.Curve(make_field(p), a, b)
+    G = iso.subgroup_from_generator(E.point(*gen))
+    two = iso.kernel_of(iso.mul_by_m_map(E, 2), E.ctx).points
+    psi = iso.velu_isogeny(E, iso.subgroup_from_points(
+        {iso.point_add(P, Q) for P in G.points for Q in two}))
+    phi = iso.velu_isogeny(E, G)
+    assert G.order >= 5 and G.order % 2 and len(two) == 4
+    lam = iso.factor_through(phi, psi)
+    W = psi.kernel_polynomial() // phi.kernel_polynomial()
+    T = lam.kernel_polynomial()
+    assert T.degree == (lam.degree + 2) // 2 == 2 * W.degree // phi.degree
+    assert T == _pushforward_kernel_poly(iso.normalize(phi)[1], W)
+
+
 def test_factor_through_builds_no_extension_field(monkeypatch):
     E = iso.Curve(make_field(1009), 1, 0)
     phi = iso.velu_isogeny(E, iso.subgroup_from_generator(E.point(0, 0)))
@@ -406,6 +427,21 @@ def test_dual_identity_map(e_f5):
     cert = iso.dual_isogeny(iso.identity_isogeny(e_f5))
     assert cert.m == 1 and cert.verified
     assert iso.iso_equal(cert.dual, iso.identity_isogeny(e_f5))
+
+
+def test_dual_above_order_12():
+    # kernel orders 13-25 on the smallest prime above each with a rational
+    # point of that order: the pipeline builds [m] up to [25]
+    for p, a, b, gen, order in ((17, 3, 0, (1, 2), 13), (17, 2, 4, (2, 4), 16),
+                                (19, 2, 10, (3, 9), 17),
+                                (19, 1, 6, (0, 5), 18),
+                                (29, 4, 2, (1, 6), 25)):
+        E = iso.Curve(make_field(p), a, b)
+        G = iso.subgroup_from_generator(E.point(*gen))
+        assert G.order == order
+        cert = iso.dual_isogeny(iso.velu_isogeny(E, G))
+        assert cert.verified and cert.m == order
+        assert verify_certificate(cert)
 
 
 def test_dual_degree2_fixture(deg2):

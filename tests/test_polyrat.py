@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 import isodual as iso
 from isodual.errors import BothZero, DivisionByZero, FieldTooLarge
 from isodual.ff import make_field
-from isodual.polyrat import (Poly, RatFunc, lagrange_interpolate, poly_gcd,
-                             resultant, roots_bruteforce, squarefree_part)
+from isodual.polyrat import (Poly, RatFunc, inverse_mod, lagrange_interpolate,
+                             poly_gcd, resultant, roots_bruteforce,
+                             squarefree_part)
 from conftest import cyclic_subgroups, nonsingular_curves
 
 F5 = make_field(5)
@@ -117,6 +118,34 @@ def test_gcd_examples():
     assert poly_gcd(P5(-1, 0, 1), P5(-1, 1)) == P5(4, 1)
     with pytest.raises(BothZero):
         poly_gcd(Poly.zero(F5), Poly.zero(F5))
+
+
+@pytest.mark.parametrize("p", [5, 37, 2 ** 31 - 1])
+def test_inverse_mod(p):
+    # 2^31 - 1 runs the Python-int fallback at every length; lengths from 41
+    # up run the int64 steps for the other primes
+    rng = random.Random(p)
+    F = make_field(p)
+
+    def poly(n):  # degree n, nonzero leading coefficient
+        return Poly(F, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+
+    inverted = 0
+    for n in (1, 2, 5, 12, 45, 60):
+        for _ in range(6):
+            m, f = poly(n), poly(rng.randrange(2 * n))
+            if poly_gcd(f, m).degree > 0:
+                continue
+            inv = inverse_mod(f, m)
+            assert inv.degree < m.degree
+            assert inv * f % m == Poly.one(F)
+            inverted += 1
+        common = poly(1 + n // 3)
+        with pytest.raises(DivisionByZero):
+            inverse_mod(poly(n) * common, poly(n) * common)
+        with pytest.raises(DivisionByZero):
+            inverse_mod(m * poly(2), m)
+    assert inverted >= 20
 
 
 def test_gcd_random_coprime_quadratics():
