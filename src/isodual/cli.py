@@ -142,7 +142,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return jsonio.loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -265,8 +265,8 @@ def _cmd_verify(args):
         cert = jsonio.certificate_from_obj(_load_json(args.cert))
         if not verify_certificate(cert):
             raise IsodualError(
-                "certificate check failed: verified, m, mul_map or "
-                "dual o phi == [m]")
+                "certificate check failed: not the certificate dual "
+                "computes for its phi")
         obj = {"m": cert.m, "verified": True}
     else:
         if not (args.phi and args.dual):
@@ -340,10 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     mul.set_defaults(handler=_cmd_mul_map)
 
     ver = sub.add_parser("verify", parents=[common],
-                         help="re-verify the dual identity")
+                         help="check a certificate or the dual identity")
     ver.add_argument("--phi", metavar="FILE", help="isogeny JSON file")
     ver.add_argument("--dual", metavar="FILE", help="candidate dual JSON file")
-    ver.add_argument("--cert", metavar="FILE", help="certificate JSON file")
+    ver.add_argument("--cert", metavar="FILE",
+                     help="certificate JSON file, valid iff dual recomputes "
+                          "it")
     ver.add_argument("--batch", metavar="FILE",
                      help="JSON array of certificates to verify")
     ver.set_defaults(handler=_cmd_verify)
@@ -368,17 +370,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         obj, pretty = args.handler(args)
+        text = jsonio.dumps(obj)
+        if args.out:  # written first, so a failed write prints nothing
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.out}: {exc}") from exc
     except ParseError as exc:
         _emit_error(exc)
         return 2
     except IsodualError as exc:
         _emit_error(exc)
         return 1
-    text = jsonio.dumps(obj)
     print(pretty if args.pretty else text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return 0
 
 

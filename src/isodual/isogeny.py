@@ -44,6 +44,8 @@ class IsogenyMap:
             raise IsodualError(
                 f"degree {degree} != max(deg num, deg den) = "
                 f"{max(r.num.degree, r.den.degree)}")
+        if degree == 0:
+            raise IsodualError("a constant map is not an isogeny")
         if check and not self._compatible(domain, codomain, r, s):
             raise IsodualError("coordinate maps do not satisfy the curve equation")
         self.domain = domain

@@ -486,7 +486,21 @@ class RatFunc:
         return RatFunc(-self.num, self.den, _reduced=True)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
+        """a/b * c/d cancelled across the factors: both pairs are coprime,
+        so gcd(ac, bd) = gcd(a, d) gcd(c, b), and a constant factor costs
+        one division, not a gcd of the two products."""
+        if self.ctx != other.ctx:
+            raise ContextMismatch("product over mixed contexts")
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return RatFunc.of(Poly.zero(self.ctx))
+        g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
+        if g1.degree > 0:
+            a, d = a // g1, d // g1
+        if g2.degree > 0:
+            c, b = c // g2, b // g2
+        # monic gcds leave the denominators monic
+        return RatFunc(a * c, b * d, _reduced=True)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import isodual as iso
 from isodual import jsonio
@@ -352,15 +356,98 @@ def test_certificate_values_must_have_json_types(tmp_path, capsys, cert_obj,
     assert json.loads(err)["error"] == "ParseError"  # one JSON object
 
 
-@pytest.mark.parametrize("claim", ["m", "mul_map", "verified"])
+def _tampered(cert, claim):
+    """cert with one claim changed to a value that still parses; lambda
+    becomes mul_map, since the fixture's lambda is phi itself."""
+    cert = json.loads(json.dumps(cert))
+    p = cert["phi"]["domain"]["p"]
+    cert[claim] = {"m": -1, "n": cert["n"] + 1, "e": cert["e"] + 1,
+                   "lambda": cert["mul_map"], "frobenius_dual": cert["phi"],
+                   "mul_map": cert["phi"], "verified": False,
+                   **{u: [(cert[u][0] + 1) % p]
+                      for u in ("c_phi", "u_phi", "u_m")}}[claim]
+    return cert
+
+
+CLAIMS = ["m", "mul_map", "verified", "n", "e", "c_phi", "u_phi", "u_m",
+          "lambda", "frobenius_dual"]
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
 def test_verify_cert_checks_m_and_mul_map(tmp_path, capsys, cert_obj, claim):
-    cert = json.loads(json.dumps(cert_obj))
-    cert[claim] = {"m": -1, "mul_map": cert["phi"], "verified": False}[claim]
     cert_file = tmp_path / "cert.json"
-    cert_file.write_text(json.dumps(cert))
+    cert_file.write_text(json.dumps(_tampered(cert_obj, claim)))
     code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
     assert code == 1 and not out
-    assert json.loads(err)["error"] == "IsodualError"  # one JSON object
+    assert json.loads(err) == {  # one JSON object
+        "error": "IsodualError",
+        "message": "certificate check failed: not the certificate dual "
+                   "computes for its phi"}
+
+
+def test_verify_cert_checks_every_claim_of_an_order_6_certificate(tmp_path,
+                                                                  capsys):
+    code, out, _ = run_cli(capsys, "dual", "--p", "7", "--a", "1", "--b", "3",
+                           "--kernel-gen", "4,1")
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["m"] == 6
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out)
+    assert run_cli(capsys, "verify", "--cert", str(cert_file))[0] == 0
+    for claim in CLAIMS:
+        cert_file.write_text(json.dumps(_tampered(cert, claim)))
+        code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
+        assert code == 1 and not out, claim
+        assert json.loads(err)["error"] == "IsodualError"
+
+
+def _paths(obj, path=()):
+    """Every path below obj, to a dict value or a list element."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+JSON_VALUES = [None, False, True, 0, -1, 2 ** 70, 1.5, "", "0", [], [0], {},
+               {"num": []}]
+
+
+@seed(2104)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_cert_on_mutated_json_exits_with_one_error_object(
+        tmp_path_factory, cert_obj, data):
+    # one mutation: a value of another JSON type or an in-range digit at a
+    # random path, or a dropped key or list element
+    cert = json.loads(json.dumps(cert_obj))
+    *head, key = data.draw(st.sampled_from(list(_paths(cert))))
+    parent = cert
+    for k in head:
+        parent = parent[k]
+    kind = data.draw(st.sampled_from(["retype", "digit", "drop"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "digit":
+        p = cert_obj["phi"]["domain"]["p"]
+        parent[key] = data.draw(st.integers(0, p - 1))
+    else:
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not type(parent[key])]))
+    cert_file = tmp_path_factory.getbasetemp() / "mutated-cert.json"
+    cert_file.write_text(json.dumps(cert))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--cert", str(cert_file)])
+    assert code in (0, 1, 2)
+    if code:
+        assert not out.getvalue()
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
+    else:
+        parsed = jsonio.certificate_from_obj(cert)
+        assert parsed == iso.dual_isogeny(parsed.phi)
 
 
 def test_verify_batch_names_the_entry_with_a_wrong_m(tmp_path, capsys,
@@ -383,13 +470,60 @@ def test_verify_batch_counts_an_entry_that_raises_as_failed(tmp_path, capsys,
     unchained["dual"] = json.loads(out)["dual"]  # a dual over F_7
     unverified = json.loads(json.dumps(cert_obj))
     unverified["verified"] = False
+    code, out, _ = run_cli(capsys, "velu", "--p", "5", "--k", "2", "--a", "1",
+                           "--b", "0", "--kernel-gen", "0;0")
+    assert code == 0
+    refused = json.loads(json.dumps(cert_obj))
+    refused["phi"] = json.loads(out)  # dual refuses a curve over F_25
     batch = tmp_path / "batch.json"
-    batch.write_text(json.dumps([cert_obj, unverified, cert_obj, unchained]))
+    batch.write_text(json.dumps([cert_obj, unverified, cert_obj, unchained,
+                                 refused]))
     code, out, err = run_cli(capsys, "verify", "--batch", str(batch))
     assert code == 1 and not out
     assert json.loads(err) == {
         "error": "IsodualError",
-        "message": "certificate check failed for entries [1, 3]"}
+        "message": "certificate check failed for entries [1, 3, 4]"}
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(refused))
+    code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "UnsupportedBaseField"
+
+
+def test_dual_out_to_a_missing_directory_exits_2_with_nothing_on_stdout(
+        tmp_path, capsys):
+    code, out, err = run_cli(capsys, "dual", "--p", "5", "--a", "1", "--b", "0",
+                             "--kernel-gen", "0,0",
+                             "--out", str(tmp_path / "missing" / "cert.json"))
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ParseError"  # one JSON object
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["utf16-bom", "deep-nesting"])
+def test_unreadable_certificate_bytes_exit_2(tmp_path, capsys, payload):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_bytes(payload)
+    code, out, err = run_cli(capsys, "verify", "--cert", str(cert_file))
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ParseError"  # one JSON object
+
+
+def test_a_constant_map_is_refused_at_the_boundary(tmp_path, capsys,
+                                                   cert_obj):
+    # r = 0, s = 0 satisfies the curve equation, as 0 is a root of
+    # x^3 + x; separable_decompose would descend it forever
+    const = dict(cert_obj["phi"], degree=0, r={"num": [], "den": [[1]]},
+                 s={"num": [], "den": [[1]]})
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(const))
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(dict(cert_obj, phi=const)))
+    for argv in (("decompose", "--map", str(map_file)),
+                 ("verify", "--cert", str(cert_file))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
 
 
 def test_error_message_is_the_same_in_every_process():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -473,6 +474,25 @@ def test_dual_of_velu_times_frobenius(e_f5):
     assert cert.verified and cert.m == 10 and cert.n == 1
     assert iso.iso_equal(iso.iso_compose(cert.dual, phi),
                          iso.mul_by_m_map(e_f5, 10))
+
+
+def test_verify_certificate_checks_every_claim(e_f5):
+    # Velu o pi has n = 1 and a Frobenius dual; a certificate with any one
+    # field changed is not the one dual_isogeny computes for its phi
+    G = iso.subgroup_from_generator(e_f5.point(0, 0))
+    phi = iso.iso_compose(iso.velu_isogeny(e_f5, G), iso.frobenius_isogeny(e_f5, 1))
+    cert = iso.dual_isogeny(phi)
+    assert cert.n == 1 and cert.frobenius_dual_used is not None
+    assert verify_certificate(cert)
+    for change in ({"n": 0}, {"n": 2}, {"frobenius_dual_used": None},
+                   {"frobenius_dual_used": iso.frobenius_isogeny(e_f5, 1)},
+                   {"e": 1}, {"u_m": cert.u_m + 1}, {"verified": False}):
+        assert not verify_certificate(dataclasses.replace(cert, **change))
+    # a phi the pipeline refuses fails with that refusal
+    E25 = iso.embed_curve(e_f5, F25)
+    with pytest.raises(UnsupportedBaseField):
+        verify_certificate(dataclasses.replace(
+            cert, phi=iso.identity_isogeny(E25)))
 
 
 def test_dual_determinism(deg2):

@@ -232,10 +232,23 @@ def _compose_by_gcd(f, g):
     return RatFunc(expand(f.num), expand(f.den))
 
 
+def _planted(fs, ctx, rng):
+    """b*u / (a*v) for each nonzero f = a/b and random u, v != 0: its
+    products with f share factors across, both ways."""
+    out = []
+    for f in fs:
+        u, v = (Poly(ctx, [rng.randrange(ctx.order) for _ in range(3)])
+                for _ in range(2))
+        if not (f.is_zero() or u.is_zero() or v.is_zero()):
+            out.append(RatFunc(f.den * u, f.num * v))
+    return out
+
+
 def test_ratfunc_pow_scale_and_compose_equal_the_reduced_construction():
-    # none of them takes a gcd: powers of a coprime pair stay coprime,
-    # scaling by a nonzero constant keeps the pair reduced, and composing
-    # coprime pairs gives a coprime pair
+    # none of them takes a gcd of the whole result: powers of a coprime pair
+    # stay coprime, scaling by a nonzero constant keeps the pair reduced,
+    # composing coprime pairs gives a coprime pair, and a product of
+    # coprime pairs a/b * c/d cancels gcd(a, d) gcd(c, b)
     E = nonsingular_curves(7, 3)[2]
     G = cyclic_subgroups(E, (2, 3, 4, 5))[0]
     maps = [iso.mul_by_m_map(E, 3), iso.velu_isogeny(E, G),
@@ -258,6 +271,16 @@ def test_ratfunc_pow_scale_and_compose_equal_the_reduced_construction():
                     f.compose(g)
                 continue
             assert f.compose(g) == expected
+    rng = random.Random(11)
+    F25 = make_field(5, 2)
+    ext = iso.mul_by_m_map(iso.embed_curve(nonsingular_curves(5, 1)[0], F25), 3)
+    for ctx, fs in ((F7, funcs + constants),
+                    (F25, [ext.r, ext.s] + [RatFunc.constant(F25, c)
+                                            for c in (0, 1, 8)])):
+        fs = fs + _planted(fs, ctx, rng)
+        for f in fs:
+            for g in fs:
+                assert f * g == RatFunc(f.num * g.num, f.den * g.den)
 
 
 def test_ratfunc_compose_examples():
