@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import accel, ff
-from .errors import (CurveMismatch, DegreeTooLarge, KernelNotRational,
-                     NotClosed, NotGaloisStable, NotOnCurve, SingularCurve,
-                     ZeroMultiplier)
+from .errors import (CurveMismatch, DegreeTooLarge, IsodualError,
+                     KernelNotRational, NotClosed, NotGaloisStable, NotOnCurve,
+                     SingularCurve, ZeroMultiplier)
 from .polyrat import Poly, RatFunc, roots_bruteforce
 
 MUL_MAP_CAP = 50  # desk-scale cap on |m| and on kernel orders: dual builds [n]
@@ -474,9 +474,19 @@ def _division_polys(E: Curve, top: int) -> list[Poly]:
 def mul_by_m_map(E: Curve, m: int):
     """The endomorphism [m] as an IsogenyMap of degree m^2.
 
-    The construction uses the division-polynomial recurrence; correctness is
-    anchored by the pointwise oracle (equality with scalar_mul everywhere),
-    not by trusting the closed forms.
+    With n = |m|, [n](x, y) = (phi_n / psi_n^2, psi_2n / (2 psi_n^4)) from
+    the division-polynomial recurrence, and both maps come out reduced
+    without a gcd:
+
+    * phi_n and psi_n^2 have no common root on a nonsingular curve
+      (Washington, *Elliptic Curves*, sec. 3.2), so r only needs a monic
+      denominator.
+    * psi_n divides psi_2n: the quotient vanishes on E[2n] - E[n] and psi_n
+      on E[n] - O, so s = (psi_2n / psi_n) / (2 psi_n^3) is reduced.  A
+      nonzero remainder of that division raises.
+
+    Correctness is anchored by the pointwise oracle (equality with
+    scalar_mul everywhere), not by trusting the closed forms.
     """
     from .isogeny import IsogenyMap  # deferred: isogeny imports this module
 
@@ -492,18 +502,22 @@ def mul_by_m_map(E: Curve, m: int):
         r = RatFunc.x(ctx)
         s = RatFunc.constant(ctx, ctx.one_raw)
     else:
+        # psi_n = pi_n for odd n and pi_n * y for even n, with y^2 = f
         pi = _division_polys(E, 2 * n)
         pim = pi[n]
         if n % 2:
             num = x * pim * pim - pi[n + 1] * pi[n - 1] * f
             den = pim * pim
-            s_den = (pim ** 4).scale(ctx.raw_from_int(2))
+            s_den = (den * pim).scale(ctx.raw_from_int(2))
         else:
             num = x * pim * pim * f - pi[n + 1] * pi[n - 1]
             den = pim * pim * f
-            s_den = (pim ** 4 * f * f).scale(ctx.raw_from_int(2))
-        r = RatFunc(num, den)
-        s = RatFunc(pi[2 * n], s_den)
+            s_den = (den * pim * f).scale(ctx.raw_from_int(2))
+        s_num, rem = divmod(pi[2 * n], pim)
+        if not rem.is_zero():
+            raise IsodualError("psi_n does not divide psi_2n")
+        r = RatFunc.coprime(num, den)
+        s = RatFunc.coprime(s_num, s_den)
     if m < 0:
         s = -s
     return IsogenyMap(E, E, r, s, m * m)

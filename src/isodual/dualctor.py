@@ -79,11 +79,13 @@ def separable_decompose(phi: IsogenyMap) -> Decomposition:
     p = ctx.p
     r, s = phi.r, phi.s
     n = 0
-    f_half = RatFunc.of(phi.domain.f_poly() ** ((p - 1) // 2))
+    f_half = None  # f^((p-1)/2), of degree 3(p - 1)/2: built only if needed
     while r.derivative_num().is_zero():
         if ctx.k != 1:
             raise UnsupportedBaseField(
                 "inseparable maps are only decomposed over prime-field curves")
+        if f_half is None:
+            f_half = RatFunc.of(phi.domain.f_poly() ** ((p - 1) // 2))
         r = RatFunc(_descend_exponents(r.num), _descend_exponents(r.den),
                     _reduced=True)
         t = s / f_half
@@ -226,20 +228,25 @@ def frobenius_dual(E: Curve) -> IsogenyMap:
     return iso_compose(dec.sep, frobenius_isogeny(E, dec.n - 1))
 
 
-def _pointwise_dual_check(comp: IsogenyMap, E: Curve, m: int) -> bool:
-    """comp agrees with scalar multiplication by m on all of E(F_{p^2}).
+def _pointwise_dual_check(phi: IsogenyMap, dual: IsogenyMap, m: int) -> bool:
+    """dual(phi(P)) = [m]P at every P of E(F_{p^2}), E the domain of phi.
 
-    [m]P comes from the group law, never from a multiplication map, so the
-    check is independent of the rational maps it verifies.  O maps to O
-    under both sides and is left out.
+    phi is evaluated at the points and the dual at their images: two maps of
+    degree m, where their composite has degree m^2.  [m]P comes from the
+    group law, never from a multiplication map, so the check is independent
+    of the rational maps it verifies.  O maps to O under both sides and is
+    left out.
     """
-    if comp.codomain != E:
+    E = phi.domain
+    if dual.domain != phi.codomain or dual.codomain != E:
         return False
-    E2 = embed_curve(E, ff.make_field(E.ctx.p, 2 * E.ctx.k))
+    F2 = ff.make_field(E.ctx.p, 2 * E.ctx.k)
+    E2 = embed_curve(E, F2)
     points = affine_points(E2)
-    images = iso_eval_point_batch(comp, E2, points)
-    expected = batch_scalar_mul(E2, m, points)
-    return images == expected
+    images = iso_eval_point_batch(
+        dual, embed_curve(phi.codomain, F2),
+        iso_eval_point_batch(phi, E2, points))
+    return images == batch_scalar_mul(E2, m, points)
 
 
 def verify_dual(phi: IsogenyMap, dual: IsogenyMap) -> bool:
@@ -262,10 +269,9 @@ def verify_certificate(cert: DualCertificate) -> bool:
 
 def _verify_inner(phi: IsogenyMap, dual: IsogenyMap,
                   mul_map: IsogenyMap) -> bool:
-    comp = iso_compose(dual, phi)
-    if not iso_equal(comp, mul_map):
+    if not iso_equal(iso_compose(dual, phi), mul_map):
         return False
-    return _pointwise_dual_check(comp, phi.domain, phi.degree)
+    return _pointwise_dual_check(phi, dual, phi.degree)
 
 
 def dual_isogeny(phi: IsogenyMap) -> DualCertificate:

@@ -46,6 +46,11 @@ class IsogenyMap:
                 f"{max(r.num.degree, r.den.degree)}")
         if degree == 0:
             raise IsodualError("a constant map is not an isogeny")
+        if r.num.degree <= r.den.degree:
+            # r(x) stays finite as x -> infinity, so O does not map to O:
+            # a translation (composed with an isogeny), not a homomorphism
+            raise IsodualError("deg num r <= deg den r: the map does not "
+                               "send O to O")
         if check and not self._compatible(domain, codomain, r, s):
             raise IsodualError("coordinate maps do not satisfy the curve equation")
         self.domain = domain
@@ -341,8 +346,22 @@ def iso_eval_batch(phi: IsogenyMap, points: list[Point]) -> list[Point]:
 
 
 def iso_eval(phi: IsogenyMap, P: Point) -> Point:
-    """Evaluate phi at P, which may live over an extension of phi's field."""
-    return iso_eval_batch(phi, [P])[0]
+    """Evaluate phi at P, which may live over an extension of phi's field.
+
+    Scalar field arithmetic, with the conventions of _eval_maps: O and the
+    poles of r map to O, and a pole of s elsewhere is a corrupt map."""
+    r, s, codomain = _maps_over(phi, P.curve)
+    if P.is_infinity:
+        return codomain.infinity()
+    x = r.eval_raw(P.x.raw)
+    if x is None:
+        return codomain.infinity()
+    sx = s.eval_raw(P.x.raw)
+    if sx is None:
+        raise IsodualError("y-map pole outside the kernel (corrupt map)")
+    ctx = codomain.ctx
+    return Point(codomain, ctx.wrap(x), ctx.wrap(ctx.rmul(P.y.raw, sx)),
+                 _checked=True)
 
 
 def iso_compose(outer: IsogenyMap, inner: IsogenyMap) -> IsogenyMap:

@@ -465,6 +465,13 @@ class RatFunc:
     def constant(cls, ctx, raw) -> "RatFunc":
         return cls.of(Poly.constant(ctx, raw))
 
+    @classmethod
+    def coprime(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num / den for a pair known to be coprime: no gcd, only den's
+        leading coefficient divided out."""
+        inv = den.ctx.rinv(den.leading)
+        return cls(num.scale(inv), den.scale(inv), _reduced=True)
+
     @property
     def ctx(self):
         return self.num.ctx
@@ -558,8 +565,7 @@ class RatFunc:
         a, b = expand(self.num), expand(self.den)
         if a.is_zero() or b.is_zero():  # a constant inner value, or a pole
             return RatFunc(a, b)
-        inv = self.ctx.rinv(b.leading)
-        return RatFunc(a.scale(inv), b.scale(inv), _reduced=True)
+        return RatFunc.coprime(a, b)
 
     def eval_raw(self, x):
         """Value at a raw point, or None at a pole."""

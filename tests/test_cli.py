@@ -113,6 +113,21 @@ def test_dual_verify_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_refuses_a_translation(tmp_path, capsys):
+    # x -> 1/x, y -> -y/x^2 is translation by (0, 0) on y^2 = x^3 + x over
+    # F_13: it satisfies the curve equation but sends O to (0, 0)
+    E = {"p": 13, "k": 1, "a": [1], "b": [0]}
+    T = {"domain": E, "codomain": E, "degree": 1,
+         "r": {"num": [[1]], "den": [[0], [1]]},
+         "s": {"num": [[12]], "den": [[0], [0], [1]]}}
+    t_file = tmp_path / "t.json"
+    t_file.write_text(json.dumps(T))
+    code, out, err = run_cli(capsys, "verify", "--phi", str(t_file),
+                             "--dual", str(t_file))
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_verify_mismatch_exits_1(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dual", "--p", "5", "--a", "1", "--b", "0",
                            "--kernel-gen", "0,0")
@@ -292,6 +307,16 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degree"] == 9
+
+
+def test_decompose_of_a_separable_map_at_the_largest_prime():
+    # f^((p-1)/2) has degree 1.5 million here; a separable map needs none
+    proc = subprocess.run(
+        [sys.executable, "-m", "isodual.cli", "decompose", "--p", "999983",
+         "--a", "999982", "--b", "0", "--kernel-gen", "0,0"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["n"] == 0
 
 
 def test_dual_accepts_kernel_orders_up_to_the_cap(tmp_path, capsys):

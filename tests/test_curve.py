@@ -8,6 +8,7 @@ from isodual.errors import (CurveMismatch, DegreeTooLarge, FieldTooLarge,
                             SingularCurve, ZeroMultiplier)
 from isodual.ff import make_field
 from isodual.polyrat import Poly, roots_bruteforce
+from isodual.curve import _division_polys
 from conftest import nonsingular_curves
 
 F5 = make_field(5)
@@ -183,6 +184,36 @@ def test_mul_map_against_scalar_oracle(e_f5, e_f5_ss):
             images = iso.iso_eval_batch(mm, pts)
             for P, img in zip(pts, images):
                 assert img == iso.scalar_mul(m, P), (E, m, P)
+
+
+def _gcd_reduced_mul_map(E, m):
+    """[m] with both coordinate maps reduced by RatFunc's gcd: the reference
+    for mul_by_m_map, which reduces them by argument instead."""
+    n, ctx = abs(m), E.ctx
+    x, f = iso.Poly.x(ctx), E.f_poly()
+    pi = _division_polys(E, 2 * n)
+    pim = pi[n]
+    if n % 2:
+        num = x * pim * pim - pi[n + 1] * pi[n - 1] * f
+        den = pim * pim
+        s_den = (pim ** 4).scale(ctx.raw_from_int(2))
+    else:
+        num = x * pim * pim * f - pi[n + 1] * pi[n - 1]
+        den = pim * pim * f
+        s_den = (pim ** 4 * f * f).scale(ctx.raw_from_int(2))
+    s = iso.RatFunc(pi[2 * n], s_den)
+    return iso.IsogenyMap(E, E, iso.RatFunc(num, den), -s if m < 0 else s,
+                          m * m)
+
+
+def test_mul_map_matches_the_gcd_reduced_construction(e_f5_ss):
+    # ordinary and supersingular curves, and p | m on each field
+    curves = [e_f5_ss, iso.Curve(make_field(29), 0, 1)]
+    for p in (5, 7, 13, 29):
+        curves += nonsingular_curves(p, 3)
+    for E in curves:
+        for m in list(range(2, 13)) + [-3]:
+            assert iso.mul_by_m_map(E, m) == _gcd_reduced_mul_map(E, m), (E, m)
 
 
 def test_mul_map_on_extension_points(e_f5):

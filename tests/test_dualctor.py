@@ -574,16 +574,46 @@ def test_pointwise_check_rejects_the_wrong_multiplier():
     for E in nonsingular_curves(5, 6) + nonsingular_curves(7, 3):
         for G in cyclic_subgroups(E, (2, 3, 4, 5)):
             phi = iso.velu_isogeny(E, G)
-            comp = iso.iso_compose(iso.dual_isogeny(phi).dual, phi)
+            dual = iso.dual_isogeny(phi).dual
             m = phi.degree
-            assert _pointwise_dual_check(comp, E, m)
-            assert not _pointwise_dual_check(comp, E, m + 1)
+            assert _pointwise_dual_check(phi, dual, m)
+            assert not _pointwise_dual_check(phi, dual, m + 1)
+
+
+def _composite_check(phi, dual, m):
+    """The check through the composite dual o phi of degree m^2, evaluated
+    on E(F_{p^2}) against scalar_mul: the reference for the check through
+    phi and the dual in turn."""
+    E = phi.domain
+    comp = iso.iso_compose(dual, phi)
+    E2 = iso.embed_curve(E, make_field(E.ctx.p, 2))
+    pts = iso.enumerate_points(E2)
+    return iso.iso_eval_batch(comp, pts) == [iso.scalar_mul(m, P) for P in pts]
+
+
+def test_pointwise_check_matches_the_composite_evaluation():
+    # the dual, and the dual composed with [-1], which dual o phi = [m]
+    # rejects unless [m] = [-m] on E(F_{p^2})
+    rejected = 0
+    for E in nonsingular_curves(5, 6) + nonsingular_curves(7, 3):
+        for G in cyclic_subgroups(E, (2, 3, 4, 5, 6, 7)):
+            phi = iso.velu_isogeny(E, G)
+            dual = iso.dual_isogeny(phi).dual
+            neg = iso.iso_compose(iso.mul_by_m_map(E, -1), dual)
+            m = phi.degree
+            for d in (dual, neg):
+                got = _pointwise_dual_check(phi, d, m)
+                assert got == _composite_check(phi, d, m)
+            assert _pointwise_dual_check(phi, dual, m)
+            rejected += not _pointwise_dual_check(phi, neg, m)
+    assert rejected > 0
 
 
 def test_pointwise_check_field_guard():
     E = iso.Curve(make_field(1009), 1, 1)
+    ident = iso.identity_isogeny(E)
     with pytest.raises(FieldTooLarge):
-        _pointwise_dual_check(iso.identity_isogeny(E), E, 1)
+        _pointwise_dual_check(ident, ident, 1)
 
 
 def test_pointwise_check_y_map_pole_outside_kernel(e_f5):
@@ -592,4 +622,6 @@ def test_pointwise_check_y_map_pole_outside_kernel(e_f5):
     bad_s = iso.RatFunc(iso.Poly.one(F5), iso.Poly.from_ints(F5, [4, 1]))
     corrupt = iso.IsogenyMap(e_f5, e_f5, ident.r, bad_s, 1, check=False)
     with pytest.raises(IsodualError):
-        _pointwise_dual_check(corrupt, e_f5, 1)
+        _pointwise_dual_check(corrupt, ident, 1)
+    with pytest.raises(IsodualError):
+        _pointwise_dual_check(ident, corrupt, 1)

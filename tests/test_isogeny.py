@@ -109,6 +109,33 @@ def test_iso_eval_infinity_and_kernel(deg2):
     assert iso.iso_eval(phi, E.point(0, 0)).is_infinity
 
 
+def test_iso_eval_matches_the_batch_at_every_point(deg2):
+    # the scalar path against the batch path, O and kernel points included:
+    # phi's kernel lies over F_5, part of [3]'s over F_25
+    E, _, phi = deg2
+    affine_kernel_points = 0
+    for f in (phi, iso.mul_by_m_map(E, 3), iso.frobenius_isogeny(E, 1)):
+        for curve in (E, iso.embed_curve(E, F25)):
+            pts = iso.enumerate_points(curve)
+            images = iso.iso_eval_batch(f, pts)
+            assert [iso.iso_eval(f, P) for P in pts] == images
+            affine_kernel_points += sum(Q.is_infinity for Q in images) - 1
+    assert affine_kernel_points > 0
+
+
+def test_iso_eval_y_map_pole_outside_kernel(e_f5):
+    ident = iso.identity_isogeny(e_f5)
+    # s = 1/(x - 1): a pole at x = 1, where r = x has none
+    bad_s = RatFunc(Poly.one(F5), Poly.from_ints(F5, [4, 1]))
+    corrupt = iso.IsogenyMap(e_f5, e_f5, ident.r, bad_s, 1, check=False)
+    E25 = iso.embed_curve(e_f5, F25)
+    pts = [P for P in iso.enumerate_points(E25)
+           if not P.is_infinity and P.x == F25.element(1)]
+    assert pts
+    with pytest.raises(IsodualError):
+        iso.iso_eval(corrupt, pts[0])
+
+
 def test_iso_compose(deg2):
     E, G, phi = deg2
     ident = iso.identity_isogeny(phi.codomain)
